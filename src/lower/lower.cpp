@@ -165,20 +165,7 @@ mtype::Ref LowerEngine::lower_aggregate_value(Stype* decl, const Annotations& ef
 
   // Fields named by a sibling field's length annotation are absorbed into
   // the list they measure (same rule as for parameters, §3.4).
-  std::vector<bool> absorbed(fields.size(), false);
-  for (auto* f : fields) {
-    Annotations acc;
-    Stype* ft = f->type;
-    if (ft->kind == Kind::Named || ft->kind == Kind::Typedef) {
-      module_.resolve(ft, &acc);
-    }
-    acc.fill_from(f->type->ann);
-    if (acc.length && acc.length->kind == LengthSpec::Kind::FieldName) {
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (fields[i]->name == acc.length->name) absorbed[i] = true;
-      }
-    }
-  }
+  const std::vector<bool> absorbed = stype::absorbed_fields(module_, fields);
 
   std::vector<Ref> children;
   std::vector<std::string> labels;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <mutex>
 #include <shared_mutex>
-#include <tuple>
 #include <unordered_map>
 
 namespace mbird::mtype {
@@ -40,20 +38,20 @@ void push_int128(std::vector<uint64_t>& key, Int128 v) {
 constexpr size_t kFlattenBudget = 256;
 
 bool flatten_bounded(const Graph& g, Ref node, MKind agg, bool drop_units,
-                     size_t& budget, uint32_t base,
+                     size_t& budget, const std::vector<uint32_t>& slot,
                      std::vector<uint32_t>& out) {
   for (Ref child : g.at(node).children) {
     if (budget == 0) return false;
     --budget;
     const Node& c = g.at(child);
     if (c.kind == agg) {
-      if (!flatten_bounded(g, child, agg, drop_units, budget, base, out)) {
+      if (!flatten_bounded(g, child, agg, drop_units, budget, slot, out)) {
         return false;
       }
     } else if (drop_units && agg == MKind::Record && c.kind == MKind::Unit) {
       // unit-elimination: Record(tau, Unit) ~ Record(tau)
     } else {
-      out.push_back(base + child);
+      out.push_back(slot[child]);
     }
   }
   return true;
@@ -87,25 +85,55 @@ struct CanonIndex::Impl {
   // stable_id memo + reverse map, guarded by `mu`.
   std::unordered_map<CanonId, StableId> stable_memo;
   std::unordered_map<StableId, CanonId, StableIdHash> by_stable;
+  // Strongly connected component of each class in the quotient graph
+  // (kNoScc until a stable_id DFS first reaches the class), guarded by `mu`.
+  static constexpr uint32_t kNoScc = 0xffffffffu;
+  std::vector<uint32_t> scc;
+  uint32_t next_scc = 0;
 
-  // ids_for memo, sharded by graph identity. Steady-state batch traffic
-  // (every worker re-fetching ids for the two shared graphs) is a
-  // shared-lock lookup on one shard — workers never serialize on the
-  // arena mutex unless a graph actually needs interning.
+  // Where each graph's nodes sit in the arena, by Graph::uid(), as of the
+  // graph's last intern (guarded by `mu`). The next intern of the graph
+  // copies only the nodes appended since `version`.
+  struct Placement {
+    uint64_t version = 0;
+    std::vector<uint32_t> slot;  // arena index per Ref
+  };
+  std::unordered_map<uint64_t, Placement> placed;
+
+  // ids_for memo: the latest snapshot per Graph::uid(), sharded by uid.
+  // Steady-state batch traffic (every worker re-fetching ids for the two
+  // shared graphs) is a shared-lock lookup on one shard — workers never
+  // serialize on the arena mutex unless a graph actually needs interning.
   static constexpr size_t kMemoShards = 8;
+  struct Snapshot {
+    uint64_t version = 0;
+    std::shared_ptr<const std::vector<CanonId>> ids;
+  };
   struct MemoShard {
     std::shared_mutex mu;
-    std::map<std::tuple<const Graph*, size_t, uint64_t>,
-             std::shared_ptr<const std::vector<CanonId>>>
-        memo;
+    std::unordered_map<uint64_t, Snapshot> memo;
   };
   MemoShard memo_shards[kMemoShards];
 
-  MemoShard& memo_shard_for(const Graph* g) {
-    auto h = reinterpret_cast<uintptr_t>(g);
-    h ^= h >> 9;  // strip allocation-alignment zeros
-    return memo_shards[h % kMemoShards];
+  MemoShard& memo_shard_for(uint64_t uid) {
+    return memo_shards[uid % kMemoShards];
   }
+
+  /// Steps 2-5 of intern: classify the freshly copied arena nodes
+  /// [base, arena.size()) against the already classified prefix. Caller
+  /// holds `mu`.
+  void classify(uint32_t base, const CanonOptions& opts);
+
+  /// Class of representative `rep`'s k-th child after transparency
+  /// resolution. Degenerate kids are impossible here (contagion would have
+  /// made the parent degenerate and classless).
+  [[nodiscard]] CanonId kid_class(uint32_t rep, uint32_t k) const {
+    return arena[arena[arena[rep].kids[k]].rep_node].canon;
+  }
+
+  /// Assign `scc` for every class reachable from `root` (Tarjan). Caller
+  /// holds `mu`.
+  void assign_sccs(CanonId root);
 };
 
 CanonIndex::CanonIndex(CanonOptions opts)
@@ -124,36 +152,53 @@ size_t CanonIndex::interned_nodes() const {
 }
 
 std::shared_ptr<const std::vector<CanonId>> CanonIndex::ids_for(const Graph& g) {
-  const auto key = std::make_tuple(&g, g.size(), g.version());
-  Impl::MemoShard& shard = impl_->memo_shard_for(&g);
+  const uint64_t uid = g.uid();
+  const uint64_t version = g.version();
+  Impl::MemoShard& shard = impl_->memo_shard_for(uid);
   {
     std::shared_lock lock(shard.mu);
-    auto it = shard.memo.find(key);
-    if (it != shard.memo.end()) return it->second;
+    auto it = shard.memo.find(uid);
+    if (it != shard.memo.end() && it->second.version == version) {
+      return it->second.ids;
+    }
   }
   // Intern outside the memo locks (intern takes the arena lock; racing
-  // callers for the same graph both intern — the second is a no-op-shaped
-  // re-intern yielding identical ids, and emplace keeps the first vector).
+  // callers for the same graph both intern — the second finds nothing new
+  // to copy and only projects ids — and the first snapshot stored wins).
   auto ids = std::make_shared<const std::vector<CanonId>>(intern(g));
   std::unique_lock lock(shard.mu);
-  auto [it, inserted] = shard.memo.emplace(key, ids);
-  return it->second;
+  Impl::Snapshot& snap = shard.memo[uid];
+  if (snap.ids == nullptr || snap.version != version) {
+    snap = {version, std::move(ids)};
+  }
+  return snap.ids;
 }
 
 std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   std::lock_guard lock(impl_->mu);
   auto& arena = impl_->arena;
-  const uint32_t base = static_cast<uint32_t>(arena.size());
-  const uint32_t n_new = static_cast<uint32_t>(g.size());
-  const uint32_t total = base + n_new;
+  const auto n = static_cast<uint32_t>(g.size());
 
-  // ---- 1. copy nodes, computing structural child lists ----------------------
+  // ---- 1. copy new nodes, computing structural child lists ------------------
+  // Graphs grow append-only between interns, and an old node only refers to
+  // older nodes, so the prefix placed by this graph's last intern is still
+  // classified correctly: copy only the suffix, pointing kid refs below the
+  // prefix at their existing slots. If seal_rec/at_mut touched a prefix
+  // node since then, re-intern the whole graph instead.
+  Impl::Placement& placement = impl_->placed[g.uid()];
+  std::vector<uint32_t>& slot = placement.slot;
+  if (g.edited_below(slot.size(), placement.version)) slot.clear();
+  placement.version = g.version();
+  const auto n_old = static_cast<uint32_t>(slot.size());
+  const auto base = static_cast<uint32_t>(arena.size());
+  const uint32_t total = base + (n - n_old);
+  for (uint32_t i = base; i < total; ++i) slot.push_back(i);
   arena.resize(total);
-  for (uint32_t r = 0; r < n_new; ++r) {
+  for (uint32_t r = n_old; r < n; ++r) {
     const Node& src = g.at(r);
-    Impl::ANode& a = arena[base + r];
+    Impl::ANode& a = arena[slot[r]];
     a.kind = src.kind;
-    a.rep_node = base + r;
+    a.rep_node = slot[r];
     switch (src.kind) {
       case MKind::Int:
         a.lo = src.lo;
@@ -168,11 +213,11 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
         size_t budget = kFlattenBudget;
         if (!opts_.associative ||
             !flatten_bounded(g, r, MKind::Record, opts_.unit_elimination,
-                             budget, base, a.kids)) {
+                             budget, slot, a.kids)) {
           a.kids.clear();
           for (Ref c : src.children) {
             if (opts_.unit_elimination && g.at(c).kind == MKind::Unit) continue;
-            a.kids.push_back(base + c);
+            a.kids.push_back(slot[c]);
           }
         }
         break;
@@ -180,10 +225,10 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
       case MKind::Choice: {
         size_t budget = kFlattenBudget;
         if (!opts_.associative ||
-            !flatten_bounded(g, r, MKind::Choice, false, budget, base,
+            !flatten_bounded(g, r, MKind::Choice, false, budget, slot,
                              a.kids)) {
           a.kids.clear();
-          for (Ref c : src.children) a.kids.push_back(base + c);
+          for (Ref c : src.children) a.kids.push_back(slot[c]);
         }
         break;
       }
@@ -191,26 +236,41 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
         if (src.body() == kNullRef) {
           a.degenerate = true;
         } else {
-          a.kids.push_back(base + src.body());
+          a.kids.push_back(slot[src.body()]);
         }
         break;
       case MKind::Rec:
         if (src.body() == kNullRef) {
           a.degenerate = true;  // unsealed
         } else {
-          a.kids.push_back(base + src.body());
+          a.kids.push_back(slot[src.body()]);
         }
         break;
       case MKind::Var:
         if (src.var_target == kNullRef) {
           a.degenerate = true;
         } else {
-          a.kids.push_back(base + src.var_target);
+          a.kids.push_back(slot[src.var_target]);
         }
         break;
       case MKind::Unit: break;
     }
   }
+
+  if (total > base) impl_->classify(base, opts_);
+
+  // ---- 6. project ids for the interned graph -------------------------------
+  std::vector<CanonId> out(n, kNoCanon);
+  for (uint32_t r = 0; r < n; ++r) {
+    const Impl::ANode& a = arena[slot[r]];
+    if (a.degenerate) continue;
+    out[r] = arena[a.rep_node].canon;
+  }
+  return out;
+}
+
+void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
+  const auto total = static_cast<uint32_t>(arena.size());
 
   // ---- 2. transparency resolution ------------------------------------------
   // A node is transparent when the Comparer treats it as its (single)
@@ -221,11 +281,11 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   // are degenerate. Resolution is iterative with an explicit stack so deep
   // graphs don't overflow.
   const bool bridge =
-      opts_.unit_elimination && opts_.associative && opts_.mu_transparent;
+      opts.unit_elimination && opts.associative && opts.mu_transparent;
   auto successor = [&](uint32_t i) -> int64_t {
-    const Impl::ANode& a = arena[i];
+    const ANode& a = arena[i];
     if (a.degenerate) return -1;
-    if (opts_.mu_transparent &&
+    if (opts.mu_transparent &&
         (a.kind == MKind::Var || a.kind == MKind::Rec)) {
       return a.kids[0];
     }
@@ -262,14 +322,14 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       uint32_t i = *it;
       color[i] = 2;
-      Impl::ANode& a = arena[i];
+      ANode& a = arena[i];
       if (a.degenerate) continue;
       int64_t next = successor(i);
       if (next < 0) {
         a.rep_node = i;
         continue;
       }
-      const Impl::ANode& tgt = arena[static_cast<uint32_t>(next)];
+      const ANode& tgt = arena[static_cast<uint32_t>(next)];
       if (tgt.degenerate) {
         a.degenerate = true;
         continue;
@@ -296,7 +356,7 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   while (changed) {
     changed = false;
     for (uint32_t i = base; i < total; ++i) {
-      Impl::ANode& a = arena[i];
+      ANode& a = arena[i];
       if (a.degenerate) continue;
       if (a.rep_node != i) {
         if (arena[a.rep_node].degenerate) {
@@ -306,7 +366,7 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
         continue;
       }
       for (uint32_t k : a.kids) {
-        const Impl::ANode& kn = arena[arena[k].rep_node];
+        const ANode& kn = arena[arena[k].rep_node];
         if (kn.degenerate || arena[k].degenerate) {
           a.degenerate = true;
           changed = true;
@@ -332,7 +392,7 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   // the splits that actually happen.
   std::vector<uint32_t> active;
   for (uint32_t i = 0; i < total; ++i) {
-    const Impl::ANode& a = arena[i];
+    const ANode& a = arena[i];
     if (!a.degenerate && a.rep_node == i) active.push_back(i);
   }
   const auto n_active = static_cast<uint32_t>(active.size());
@@ -344,7 +404,7 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   std::vector<std::vector<uint32_t>> rkids(n_active);
   std::vector<std::vector<uint32_t>> preds(n_active);
   for (uint32_t ai = 0; ai < n_active; ++ai) {
-    const Impl::ANode& a = arena[active[ai]];
+    const ANode& a = arena[active[ai]];
     rkids[ai].reserve(a.kids.size());
     for (uint32_t k : a.kids) {
       uint32_t rk = arena[k].rep_node;
@@ -358,7 +418,7 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   {
     std::unordered_map<std::vector<uint64_t>, uint32_t, VecU64Hash> table;
     for (uint32_t ai = 0; ai < n_active; ++ai) {
-      const Impl::ANode& a = arena[active[ai]];
+      const ANode& a = arena[active[ai]];
       std::vector<uint64_t> key{static_cast<uint64_t>(a.kind),
                                 static_cast<uint64_t>(a.kids.size())};
       switch (a.kind) {
@@ -388,11 +448,11 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
   }
   std::vector<std::vector<uint64_t>> sig(n_active);
   auto build_sig = [&](uint32_t ai) {
-    const Impl::ANode& a = arena[active[ai]];
+    const ANode& a = arena[active[ai]];
     std::vector<uint64_t>& s = sig[ai];
     s.clear();
     for (uint32_t k : rkids[ai]) s.push_back(cls[k]);
-    if (opts_.commutative &&
+    if (opts.commutative &&
         (a.kind == MKind::Record || a.kind == MKind::Choice)) {
       std::sort(s.begin(), s.end());
     }
@@ -460,26 +520,17 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
       if (it != block_id.end()) {
         id = it->second;
       } else {
-        id = impl_->next_canon++;
+        id = next_canon++;
         block_id.emplace(cls[i], id);
       }
       assert(arena[i].canon == kNoCanon || arena[i].canon == id);
       arena[i].canon = id;
-      if (id >= impl_->class_rep.size()) {
-        impl_->class_rep.resize(id + 1, 0xffffffffu);
+      if (id >= class_rep.size()) {
+        class_rep.resize(id + 1, 0xffffffffu);
       }
-      if (impl_->class_rep[id] == 0xffffffffu) impl_->class_rep[id] = i;
+      if (class_rep[id] == 0xffffffffu) class_rep[id] = i;
     }
   }
-
-  // ---- 6. project ids for the interned graph -------------------------------
-  std::vector<CanonId> out(n_new, kNoCanon);
-  for (uint32_t r = 0; r < n_new; ++r) {
-    const Impl::ANode& a = arena[base + r];
-    if (a.degenerate) continue;
-    out[r] = arena[a.rep_node].canon;
-  }
-  return out;
 }
 
 // ---- stable content digests ------------------------------------------------
@@ -495,6 +546,67 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
 // back-edge escaping ABOVE the node is only valid within the enclosing
 // traversal and is NOT memoized (it is still correct as a component of the
 // ancestors' digests). Rooted DFS always memoizes its root.
+//
+// A memoized digest stands in for a child only when the child lies in a
+// different strongly connected component: inside a cycle, a member's
+// digest encodes the cycle as unfolded from that member, so reusing it for
+// a DFS that entered the cycle elsewhere would make digests depend on the
+// order stable_id was queried in — and differ between processes.
+void CanonIndex::Impl::assign_sccs(CanonId root) {
+  if (scc.size() < next_canon) scc.resize(next_canon, kNoScc);
+  if (scc[root] != kNoScc) return;
+  // Classes assigned by an earlier call are finished: kid lists never
+  // change, so nothing they reach can be unassigned.
+  struct Visit {
+    uint32_t index, low;
+    bool on_stack;
+  };
+  std::unordered_map<CanonId, Visit> visit;
+  std::vector<CanonId> stack;
+  std::vector<std::pair<CanonId, uint32_t>> call;  // (class, next kid)
+  auto open = [&](CanonId c) {
+    const auto i = static_cast<uint32_t>(visit.size());
+    visit.emplace(c, Visit{i, i, true});
+    stack.push_back(c);
+    call.emplace_back(c, 0);
+  };
+  open(root);
+  while (!call.empty()) {
+    const CanonId c = call.back().first;
+    const uint32_t k = call.back().second;
+    if (k < arena[class_rep[c]].kids.size()) {
+      ++call.back().second;
+      const CanonId kc = kid_class(class_rep[c], k);
+      if (scc[kc] != kNoScc) continue;
+      auto it = visit.find(kc);
+      if (it == visit.end()) {
+        open(kc);
+      } else if (it->second.on_stack) {
+        Visit& v = visit.at(c);
+        v.low = std::min(v.low, it->second.index);
+      }
+      continue;
+    }
+    const Visit& v = visit.at(c);
+    if (v.low == v.index) {
+      const uint32_t id = next_scc++;
+      CanonId m;
+      do {
+        m = stack.back();
+        stack.pop_back();
+        visit.at(m).on_stack = false;
+        scc[m] = id;
+      } while (m != c);
+    }
+    const uint32_t low = v.low;
+    call.pop_back();
+    if (!call.empty()) {
+      Visit& parent = visit.at(call.back().first);
+      parent.low = std::min(parent.low, low);
+    }
+  }
+}
+
 namespace {
 
 struct Digest128 {
@@ -520,6 +632,7 @@ StableId CanonIndex::stable_id(CanonId id) {
       impl_->class_rep[id] == 0xffffffffu) {
     return {};
   }
+  impl_->assign_sccs(id);
 
   constexpr uint32_t kNoBack = 0xffffffffu;
   struct Frame {
@@ -529,13 +642,6 @@ StableId CanonIndex::stable_id(CanonId id) {
     uint32_t min_back = kNoBack;  // shallowest back-edge target in subtree
     Digest128 h;
   };
-  // Class of a representative node's k-th child after transparency
-  // resolution. Degenerate kids are impossible here (contagion would have
-  // made the parent degenerate and classless).
-  auto kid_class = [&](uint32_t rep, uint32_t k) -> CanonId {
-    return arena[arena[arena[rep].kids[k]].rep_node].canon;
-  };
-
   std::vector<Frame> stack;
   std::unordered_map<CanonId, uint32_t> on_stack;  // class -> stack depth
   auto push = [&](CanonId c) {
@@ -570,9 +676,10 @@ StableId CanonIndex::stable_id(CanonId id) {
     Frame& f = stack.back();
     const Impl::ANode& a = arena[impl_->class_rep[f.cls]];
     if (f.kid_idx < a.kids.size()) {
-      CanonId kc = kid_class(impl_->class_rep[f.cls], f.kid_idx);
+      CanonId kc = impl_->kid_class(impl_->class_rep[f.cls], f.kid_idx);
       ++f.kid_idx;
-      if (auto it = memo.find(kc); it != memo.end()) {
+      if (auto it = memo.find(kc);
+          it != memo.end() && impl_->scc[kc] != impl_->scc[f.cls]) {
         f.h.mix(0x01);
         f.h.mix(it->second.hi);
         f.h.mix(it->second.lo);

@@ -11,7 +11,9 @@
 // The algorithm is naive partition refinement (bisimulation):
 //   1. copy the graph's nodes into the arena, precomputing each node's
 //      structural child list (flattened under associativity, units dropped
-//      under unit-elimination — exactly what the Comparer matches on);
+//      under unit-elimination — exactly what the Comparer matches on).
+//      Only the nodes appended since the graph's last intern are copied
+//      (see "Suffix interning" below);
 //   2. resolve "transparent" nodes (Var -> target, Rec -> body, and — when
 //      unit-elimination + associativity are both on — a Record whose
 //      flattened form is a single child whose resolution is a non-Record);
@@ -26,6 +28,18 @@
 // id already handed out (bisimilarity of a node depends only on the
 // subgraph reachable from it). That makes ids usable as persistent cache
 // keys (see compare::CrossCache).
+//
+// Suffix interning: graphs grow append-only between interns (lowering
+// allocates and seals each Rec within one call), and a node only refers to
+// older nodes, so the classes of a graph's already interned prefix cannot
+// change. The index remembers, per Graph::uid(), each node's arena slot and
+// the graph version at its last intern; the next intern copies only the
+// nodes appended since, pointing kid refs below the prefix at their
+// existing slots. The arena therefore grows by the new nodes, not by
+// g.size(), and a lower-one-pair-then-compile loop stays linear. If
+// seal_rec or at_mut touched a prefix node since that intern
+// (Graph::edited_below), the whole graph is copied afresh instead. Either
+// way the ids equal those a full re-intern would assign.
 //
 // Two standard configurations:
 //   * iso ids    — CanonOptions matching the comparison's rule toggles;
@@ -46,7 +60,7 @@
 //     share an iso class but need different field moves).
 //
 // Thread safety: interning is serialized by the arena mutex (per-graph
-// and rare), but ids_for's memo is sharded by graph identity with
+// and rare), but ids_for's memo is sharded by Graph::uid() with
 // reader/writer locks — the steady-state path (every batch worker
 // re-fetching ids for an already-interned graph) is a shared-lock map
 // hit that never serializes workers. The returned id vectors are
@@ -121,13 +135,13 @@ class CanonIndex {
   CanonIndex(const CanonIndex&) = delete;
   CanonIndex& operator=(const CanonIndex&) = delete;
 
-  /// Intern every node of `g`; returns the per-Ref canonical ids
-  /// (result.size() == g.size()). Thread-safe.
+  /// Intern every node of `g` not yet interned; returns the per-Ref
+  /// canonical ids (result.size() == g.size()). Thread-safe.
   [[nodiscard]] std::vector<CanonId> intern(const Graph& g);
 
-  /// Memoized intern keyed on (&g, g.size(), g.version()): repeated calls
-  /// for an unchanged graph return the same shared snapshot without
-  /// re-running refinement. Thread-safe.
+  /// Memoized intern keyed on (g.uid(), g.version()): repeated calls for
+  /// an unchanged graph return the same shared snapshot without re-running
+  /// refinement. Only the latest snapshot per graph is kept. Thread-safe.
   [[nodiscard]] std::shared_ptr<const std::vector<CanonId>> ids_for(const Graph& g);
 
   /// Cross-process content digest of class `id` (see StableId). Memoized;
@@ -144,7 +158,9 @@ class CanonIndex {
   [[nodiscard]] const CanonOptions& options() const { return opts_; }
   /// Number of distinct canonical classes assigned so far.
   [[nodiscard]] size_t classes() const;
-  /// Total nodes copied into the arena (across all interned graphs).
+  /// Total nodes copied into the arena (across all interned graphs). With
+  /// suffix interning this is the sum of the interned graphs' sizes, plus
+  /// one full copy per re-intern forced by an edit below the prefix.
   [[nodiscard]] size_t interned_nodes() const;
 
  private:

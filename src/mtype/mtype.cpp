@@ -1,6 +1,7 @@
 #include "mtype/mtype.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <sstream>
 #include <unordered_map>
@@ -33,9 +34,40 @@ std::string path_to_string(const Path& p) {
   return out;
 }
 
+namespace {
+uint64_t next_graph_uid() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
+
+Graph::Graph() : uid_(next_graph_uid()) {}
+
+Graph::Graph(Graph&& other) noexcept { *this = std::move(other); }
+
+Graph& Graph::operator=(Graph&& other) noexcept {
+  if (this != &other) {
+    nodes_ = std::move(other.nodes_);
+    touched_ = std::move(other.touched_);
+    version_ = other.version_;
+    uid_ = other.uid_;
+    other.nodes_.clear();
+    other.touched_.clear();
+    ++other.version_;
+    other.uid_ = next_graph_uid();
+  }
+  return *this;
+}
+
+bool Graph::edited_below(size_t prefix, uint64_t since) const {
+  const size_t n = std::min(prefix, touched_.size());
+  return std::any_of(touched_.begin(), touched_.begin() + static_cast<ptrdiff_t>(n),
+                     [since](uint64_t t) { return t > since; });
+}
+
 Ref Graph::add(Node n) {
-  ++version_;
   nodes_.push_back(std::move(n));
+  touched_.push_back(++version_);
   return static_cast<Ref>(nodes_.size() - 1);
 }
 
@@ -107,7 +139,7 @@ Ref Graph::rec_placeholder(std::string name) {
 }
 
 void Graph::seal_rec(Ref rec, Ref body) {
-  ++version_;
+  touched_[rec] = ++version_;
   Node& n = nodes_[rec];
   n.children.assign(1, body);
 }

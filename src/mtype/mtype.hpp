@@ -70,25 +70,39 @@ struct Node {
 
 class Graph {
  public:
-  Graph() = default;
+  Graph();
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
-  Graph(Graph&&) = default;
-  Graph& operator=(Graph&&) = default;
+  /// The moved-to graph takes over the source's nodes, version and uid();
+  /// the source is left empty under a fresh uid(), so caches keyed on the
+  /// uid never mistake its regrown contents for the old ones.
+  Graph(Graph&& other) noexcept;
+  Graph& operator=(Graph&& other) noexcept;
 
   [[nodiscard]] const Node& at(Ref r) const { return nodes_[r]; }
   /// Mutable access counts as a structural edit: it bumps version() so
   /// hash/canonical caches keyed on it recompute (see compare::HashCache).
   [[nodiscard]] Node& at_mut(Ref r) {
-    ++version_;
+    touched_[r] = ++version_;
     return nodes_[r];
   }
   [[nodiscard]] size_t size() const { return nodes_.size(); }
 
   /// Monotone generation counter: incremented by every node addition,
   /// seal_rec, and at_mut access. Caches that derive data from the graph
-  /// (structure hashes, canonical ids) key on (this, size(), version()).
+  /// key on it: structure hashes on (this, size(), version()), canonical
+  /// ids on (uid(), version()).
   [[nodiscard]] uint64_t version() const { return version_; }
+
+  /// Process-unique identity, never reused (not even at the same address
+  /// after destruction). Together with version() it names one graph state.
+  [[nodiscard]] uint64_t uid() const { return uid_; }
+
+  /// True if seal_rec or at_mut touched any of the first `prefix` nodes
+  /// after version `since`. Graphs otherwise only grow, so a cache built
+  /// over a prefix at version `since` stays valid for that prefix unless
+  /// this returns true (see CanonIndex's suffix interning).
+  [[nodiscard]] bool edited_below(size_t prefix, uint64_t since) const;
 
   Ref integer(Int128 lo, Int128 hi, std::string name = {});
   Ref character(Repertoire rep, std::string name = {});
@@ -120,7 +134,10 @@ class Graph {
  private:
   Ref add(Node n);
   std::vector<Node> nodes_;
+  // version() at each node's last change: its creation, seal_rec or at_mut.
+  std::vector<uint64_t> touched_;
   uint64_t version_ = 0;
+  uint64_t uid_ = 0;
 };
 
 /// If `r` is a Var, return the Rec it refers to; otherwise `r` itself.

@@ -33,26 +33,6 @@ void check_range(Int128 v, const Annotations& ann, const std::string& what) {
   }
 }
 
-/// Fields absorbed because a sibling list's FieldName annotation names them.
-std::vector<bool> absorbed_fields(const stype::Module& module,
-                                  const std::vector<stype::Field*>& fields) {
-  std::vector<bool> absorbed(fields.size(), false);
-  for (auto* f : fields) {
-    Annotations acc;
-    Stype* ft = f->type;
-    if (ft->kind == Kind::Named || ft->kind == Kind::Typedef) {
-      module.resolve(ft, &acc);
-    }
-    acc.fill_from(f->type->ann);
-    if (acc.length && acc.length->kind == LengthSpec::Kind::FieldName) {
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (fields[i]->name == acc.length->name) absorbed[i] = true;
-      }
-    }
-  }
-  return absorbed;
-}
-
 }  // namespace
 
 // ---- reader -----------------------------------------------------------------
@@ -170,7 +150,7 @@ Value CReader::read_aggregate(Stype* decl, uint64_t addr,
         "simulated native reader)");
   }
   auto fields = layout_.instance_fields(decl);
-  auto absorbed = absorbed_fields(layout_.module(), fields);
+  auto absorbed = stype::absorbed_fields(layout_.module(), fields);
 
   // Integral fields feed the length environment for sibling lists.
   LengthEnv local = env;
@@ -346,7 +326,7 @@ void CWriter::write_aggregate(Stype* decl, const Value& value, uint64_t addr,
     throw ConversionError("writing C unions requires a discriminant");
   }
   auto fields = layout_.instance_fields(decl);
-  auto absorbed = absorbed_fields(layout_.module(), fields);
+  auto absorbed = stype::absorbed_fields(layout_.module(), fields);
 
   // First pass: write the non-absorbed fields; lists record their lengths.
   LengthEnv local;

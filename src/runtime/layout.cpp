@@ -186,34 +186,12 @@ void NativeHeap::write_f64(uint64_t addr, double v) {
 namespace {
 
 using stype::Annotations;
-using stype::LengthSpec;
 using stype::ScalarIntent;
 
 bool image_char_family(Prim p, const Annotations& ann) {
   bool as_char = p == Prim::Char8 || p == Prim::Char16;
   if (ann.intent) as_char = *ann.intent == ScalarIntent::Character;
   return as_char;
-}
-
-/// Same absorption rule as the CReader: fields named by a sibling's
-/// FieldName length annotation vanish from the Value structure.
-std::vector<bool> image_absorbed_fields(const stype::Module& module,
-                                        const std::vector<stype::Field*>& fields) {
-  std::vector<bool> absorbed(fields.size(), false);
-  for (auto* f : fields) {
-    Annotations acc;
-    Stype* ft = f->type;
-    if (ft->kind == Kind::Named || ft->kind == Kind::Typedef) {
-      module.resolve(ft, &acc);
-    }
-    acc.fill_from(f->type->ann);
-    if (acc.length && acc.length->kind == LengthSpec::Kind::FieldName) {
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (fields[i]->name == acc.length->name) absorbed[i] = true;
-      }
-    }
-  }
-  return absorbed;
 }
 
 struct ImageBuilder {
@@ -330,7 +308,7 @@ struct ImageBuilder {
               "native-marshal: C unions need a discriminant (no static image)");
         }
         auto fields = layout.instance_fields(type);
-        auto absorbed = image_absorbed_fields(layout.module(), fields);
+        auto absorbed = stype::absorbed_fields(layout.module(), fields);
         uint32_t idx = add({.kind = ImageLayout::K::Record, .offset = off32});
         std::vector<uint32_t> kid_idx;
         kid_idx.reserve(fields.size());

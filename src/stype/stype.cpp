@@ -240,6 +240,22 @@ Stype* Module::resolve(Stype* node, Annotations* acc) const {
   return nullptr;  // unresolved or cyclic typedef chain
 }
 
+std::vector<bool> absorbed_fields(const Module& module,
+                                  const std::vector<Field*>& fields) {
+  std::vector<bool> absorbed(fields.size(), false);
+  for (const Field* f : fields) {
+    Annotations acc;
+    (void)module.resolve(f->type, &acc);  // collects wrapper annotations
+    acc.fill_from(f->type->ann);
+    if (acc.length && acc.length->kind == LengthSpec::Kind::FieldName) {
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (fields[i]->name == acc.length->name) absorbed[i] = true;
+      }
+    }
+  }
+  return absorbed;
+}
+
 namespace {
 
 void print_type_into(const Stype* node, std::ostream& os) {

@@ -229,6 +229,14 @@ class Module {
   std::vector<std::pair<std::string, Stype*>> decls_;  // linear: small N
 };
 
+/// Length-field absorption (paper §3.4): absorbed[i] is true iff
+/// fields[i] is named by a sibling's FieldName length annotation, so it
+/// vanishes into the list it measures. A field's annotations include those
+/// on its Named/Typedef wrappers. Lowering and the runtime readers and
+/// writers all apply this one rule.
+[[nodiscard]] std::vector<bool> absorbed_fields(
+    const Module& module, const std::vector<Field*>& fields);
+
 /// Pretty-print one declaration (or type use) in a language-neutral syntax;
 /// used by diagnostics, the CLI `show` command, and project files.
 [[nodiscard]] std::string print_type(const Stype* node);
