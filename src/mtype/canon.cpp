@@ -57,6 +57,72 @@ bool flatten_bounded(const Graph& g, Ref node, MKind agg, bool drop_units,
   return true;
 }
 
+// Iterative Tarjan. run() walks the nodes reachable from `root` through
+// succ(v, k), k < degree(v), and hands each strongly connected component to
+// on_scc kids first (its members as popped, the component's root last).
+// Successors for which done(w) holds were finished earlier and are skipped;
+// on_scc returning false stops the walk, and run() then returns false. The
+// object only keeps its buffers between runs.
+class Tarjan {
+ public:
+  template <class Degree, class Succ, class Done, class OnScc>
+  bool run(uint32_t root, Degree degree, Succ succ, Done done, OnScc on_scc) {
+    visit_.clear();
+    stack_.clear();
+    call_.clear();
+    open(root);
+    while (!call_.empty()) {
+      const uint32_t v = call_.back().first;
+      const uint32_t k = call_.back().second;
+      if (k < degree(v)) {
+        ++call_.back().second;
+        const uint32_t w = succ(v, k);
+        if (done(w)) continue;
+        auto it = visit_.find(w);
+        if (it == visit_.end()) {
+          open(w);
+        } else if (it->second.on_stack) {
+          Visit& x = visit_.at(v);
+          x.low = std::min(x.low, it->second.index);
+        }
+        continue;
+      }
+      call_.pop_back();
+      const Visit x = visit_.at(v);
+      if (!call_.empty()) {
+        Visit& parent = visit_.at(call_.back().first);
+        parent.low = std::min(parent.low, x.low);
+      }
+      if (x.low != x.index) continue;
+      members_.clear();
+      uint32_t m;
+      do {
+        m = stack_.back();
+        stack_.pop_back();
+        visit_.at(m).on_stack = false;
+        members_.push_back(m);
+      } while (m != v);
+      if (!on_scc(members_)) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Visit {
+    uint32_t index, low;
+    bool on_stack;
+  };
+  void open(uint32_t v) {
+    const auto i = static_cast<uint32_t>(visit_.size());
+    visit_.emplace(v, Visit{i, i, true});
+    stack_.push_back(v);
+    call_.emplace_back(v, 0);
+  }
+  std::unordered_map<uint32_t, Visit> visit_;
+  std::vector<uint32_t> stack_, members_;
+  std::vector<std::pair<uint32_t, uint32_t>> call_;  // (node, next kid)
+};
+
 }  // namespace
 
 struct CanonIndex::Impl {
@@ -79,7 +145,7 @@ struct CanonIndex::Impl {
   std::vector<ANode> arena;
   CanonId next_canon = 0;
 
-  // Per-class representative arena node (first structural member seen),
+  // Per-class representative arena node (the member that minted the class),
   // indexed by CanonId. Backs stable_id()'s digest DFS.
   std::vector<uint32_t> class_rep;
   // stable_id memo + reverse map, guarded by `mu`.
@@ -119,10 +185,42 @@ struct CanonIndex::Impl {
     return memo_shards[uid % kMemoShards];
   }
 
-  /// Steps 2-5 of intern: classify the freshly copied arena nodes
+  // Every class by the digest of its signature, guarded by `mu`. Hits are
+  // confirmed against class_rep's recomputed signature, so a digest
+  // collision costs a probe, never a wrong class.
+  std::unordered_multimap<uint64_t, CanonId> by_sig;
+  std::vector<uint64_t> sig_a, sig_b;  // scratch signatures
+  CanonStats stats;
+
+  /// Steps 2-4 of intern: classify the freshly copied arena nodes
   /// [base, arena.size()) against the already classified prefix. Caller
   /// holds `mu`.
   void classify(uint32_t base, const CanonOptions& opts);
+
+  /// Local key of structural node `i`: kind, arity and exact parameters.
+  void local_key(uint32_t i, std::vector<uint64_t>& out) const;
+  /// local_key followed by the classes of `i`'s resolved kids, sorted when
+  /// the options are commutative. Every kid must be classified.
+  void signature(uint32_t i, const CanonOptions& opts,
+                 std::vector<uint64_t>& out) const;
+  /// The class whose signature is `sig`, or kNoCanon.
+  [[nodiscard]] CanonId lookup(const std::vector<uint64_t>& sig,
+                               uint64_t digest, const CanonOptions& opts);
+  /// Mint a class represented by structural node `i`. The caller registers
+  /// its signature in by_sig once `i`'s kids are classified.
+  CanonId mint(uint32_t i);
+  /// Coarsest stable partition of `nodes` (structural arena nodes) whose
+  /// resolved kid lists `kids` index into `nodes`: bisimilarity under the
+  /// index's congruence. Returns each node's block; numbering is
+  /// deterministic.
+  std::vector<uint32_t> refine(const std::vector<uint32_t>& nodes,
+                               const std::vector<std::vector<uint32_t>>& kids,
+                               const CanonOptions& opts);
+  /// Classify every new structural node in [base, arena.size()) that has
+  /// no class yet by refining them together with one representative per
+  /// existing class. Step 4 calls it at most once per intern, at the first
+  /// new cycle.
+  void refine_unclassified(uint32_t base, const CanonOptions& opts);
 
   /// Class of representative `rep`'s k-th child after transparency
   /// resolution. Degenerate kids are impossible here (contagion would have
@@ -149,6 +247,11 @@ size_t CanonIndex::classes() const {
 size_t CanonIndex::interned_nodes() const {
   std::lock_guard lock(impl_->mu);
   return impl_->arena.size();
+}
+
+CanonStats CanonIndex::stats() const {
+  std::lock_guard lock(impl_->mu);
+  return impl_->stats;
 }
 
 std::shared_ptr<const std::vector<CanonId>> CanonIndex::ids_for(const Graph& g) {
@@ -259,7 +362,7 @@ std::vector<CanonId> CanonIndex::intern(const Graph& g) {
 
   if (total > base) impl_->classify(base, opts_);
 
-  // ---- 6. project ids for the interned graph -------------------------------
+  // ---- 5. project ids for the interned graph -------------------------------
   std::vector<CanonId> out(n, kNoCanon);
   for (uint32_t r = 0; r < n; ++r) {
     const Impl::ANode& a = arena[slot[r]];
@@ -295,15 +398,17 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
     return -1;
   };
 
-  std::vector<uint8_t> color(total, 0);  // 0 white, 1 grey, 2 done (new range)
-  for (uint32_t i = 0; i < base; ++i) color[i] = 2;
+  // New range only: 0 white, 1 grey, 2 done. Old nodes are all done.
+  std::vector<uint8_t> color(total - base, 0);
+  std::vector<uint32_t> chain;
   for (uint32_t start = base; start < total; ++start) {
-    if (color[start] == 2) continue;
-    std::vector<uint32_t> chain;
+    if (color[start - base] == 2) continue;
+    chain.clear();
     uint32_t cur = start;
     while (true) {
-      if (color[cur] == 2) break;  // resolved tail: splice onto it
-      if (color[cur] == 1) {
+      // Resolved tail: splice onto it.
+      if (cur < base || color[cur - base] == 2) break;
+      if (color[cur - base] == 1) {
         // Transparent cycle: everything from `cur` onward is degenerate.
         bool in_cycle = false;
         for (uint32_t c : chain) {
@@ -312,7 +417,7 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
         }
         break;
       }
-      color[cur] = 1;
+      color[cur - base] = 1;
       chain.push_back(cur);
       int64_t next = successor(cur);
       if (next < 0) break;  // structural (or already degenerate)
@@ -321,7 +426,7 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
     // Walk the chain backwards assigning representatives.
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       uint32_t i = *it;
-      color[i] = 2;
+      color[i - base] = 2;
       ANode& a = arena[i];
       if (a.degenerate) continue;
       int64_t next = successor(i);
@@ -376,66 +481,125 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
     }
   }
 
-  // ---- 4. partition refinement over the whole arena ------------------------
-  // Structural, non-degenerate nodes only; transparent nodes inherit their
-  // representative's class afterwards. The fixpoint is bisimilarity under
-  // the index's congruence.
-  //
-  // Refinement is predecessor-driven (Moore-style worklist) rather than
-  // rounds of whole-arena re-hashing: a node's signature is its resolved
-  // kid class list, a signature only changes when some kid is reassigned
-  // to a fresh block, and only the blocks holding such nodes are
-  // regrouped. The naive fixpoint rebuild costs O(depth x arena) and the
-  // chained declaration sets the batch driver sees have separation depth
-  // proportional to the class count, which made interning the dominant
-  // cost of a cold batch; the worklist does total work proportional to
-  // the splits that actually happen.
-  std::vector<uint32_t> active;
-  for (uint32_t i = 0; i < total; ++i) {
-    const ANode& a = arena[i];
-    if (!a.degenerate && a.rep_node == i) active.push_back(i);
-  }
-  const auto n_active = static_cast<uint32_t>(active.size());
-  std::vector<int32_t> apos(total, -1);
-  for (uint32_t ai = 0; ai < n_active; ++ai) {
-    apos[active[ai]] = static_cast<int32_t>(ai);
-  }
-  // Resolved kid lists, computed once, and their inverse (predecessors).
-  std::vector<std::vector<uint32_t>> rkids(n_active);
-  std::vector<std::vector<uint32_t>> preds(n_active);
-  for (uint32_t ai = 0; ai < n_active; ++ai) {
-    const ANode& a = arena[active[ai]];
-    rkids[ai].reserve(a.kids.size());
-    for (uint32_t k : a.kids) {
-      uint32_t rk = arena[k].rep_node;
-      rkids[ai].push_back(rk);
-      preds[static_cast<uint32_t>(apos[rk])].push_back(ai);
+  // ---- 4. classify the new structural nodes, kids first --------------------
+  // Tarjan over the new structural nodes, following resolved kids; old kids
+  // are fixed classes. SCCs complete kids-first, so every kid outside the
+  // current SCC is classified by the time it is reached, and an acyclic node
+  // is classified by one signature lookup. The first new cycle stops the
+  // walk: everything still unclassified is then refined in one pass, so an
+  // intern refines at most once. Transparent nodes inherit their
+  // representative's class at projection.
+  auto done = [&](uint32_t w) {
+    return w < base || arena[w].canon != kNoCanon;
+  };
+  auto look_up = [&](const std::vector<uint32_t>& scc) {
+    const uint32_t v = scc[0];
+    const auto& kids = arena[v].kids;
+    if (scc.size() > 1 ||
+        std::any_of(kids.begin(), kids.end(),
+                    [&](uint32_t c) { return arena[c].rep_node == v; })) {
+      return false;  // a new cycle
+    }
+    signature(v, opts, sig_a);
+    const uint64_t digest = VecU64Hash{}(sig_a);
+    CanonId id = lookup(sig_a, digest, opts);
+    if (id == kNoCanon) {
+      id = mint(v);
+      by_sig.emplace(digest, id);
+    }
+    arena[v].canon = id;
+    ++stats.looked_up;
+    return true;
+  };
+  Tarjan tarjan;
+  for (uint32_t start = base; start < total; ++start) {
+    if (arena[start].degenerate || arena[start].rep_node != start ||
+        arena[start].canon != kNoCanon) {
+      continue;
+    }
+    const bool acyclic = tarjan.run(
+        start, [&](uint32_t v) { return arena[v].kids.size(); },
+        [&](uint32_t v, uint32_t k) { return arena[arena[v].kids[k]].rep_node; },
+        done, look_up);
+    if (!acyclic) {
+      refine_unclassified(base, opts);
+      return;
     }
   }
-  std::vector<uint32_t> cls(total, 0);
+}
+
+void CanonIndex::Impl::local_key(uint32_t i, std::vector<uint64_t>& out) const {
+  const ANode& a = arena[i];
+  out.clear();
+  out.push_back(static_cast<uint64_t>(a.kind));
+  out.push_back(a.kids.size());
+  switch (a.kind) {
+    case MKind::Int:
+      push_int128(out, a.lo);
+      push_int128(out, a.hi);
+      break;
+    case MKind::Char: out.push_back(static_cast<uint64_t>(a.rep)); break;
+    case MKind::Real:
+      out.push_back(a.mant);
+      out.push_back(a.expo);
+      break;
+    default: break;
+  }
+}
+
+void CanonIndex::Impl::signature(uint32_t i, const CanonOptions& opts,
+                                 std::vector<uint64_t>& out) const {
+  local_key(i, out);
+  const size_t head = out.size();
+  for (uint32_t k = 0; k < arena[i].kids.size(); ++k) {
+    out.push_back(kid_class(i, k));
+  }
+  if (opts.commutative &&
+      (arena[i].kind == MKind::Record || arena[i].kind == MKind::Choice)) {
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(head), out.end());
+  }
+}
+
+CanonId CanonIndex::Impl::lookup(const std::vector<uint64_t>& sig,
+                                 uint64_t digest, const CanonOptions& opts) {
+  auto [it, end] = by_sig.equal_range(digest);
+  for (; it != end; ++it) {
+    signature(class_rep[it->second], opts, sig_b);
+    if (sig_b == sig) return it->second;
+  }
+  return kNoCanon;
+}
+
+CanonId CanonIndex::Impl::mint(uint32_t i) {
+  const CanonId id = next_canon++;
+  class_rep.push_back(i);
+  return id;
+}
+
+std::vector<uint32_t> CanonIndex::Impl::refine(
+    const std::vector<uint32_t>& nodes,
+    const std::vector<std::vector<uint32_t>>& kids, const CanonOptions& opts) {
+  // Refinement is predecessor-driven (Moore-style worklist): a node's
+  // signature is its kid class list, a signature only changes when some kid
+  // is reassigned to a fresh block, and only the blocks holding such nodes
+  // are regrouped, so total work is proportional to the splits that
+  // actually happen.
+  const auto n = static_cast<uint32_t>(nodes.size());
+  std::vector<std::vector<uint32_t>> preds(n);
+  for (uint32_t ai = 0; ai < n; ++ai) {
+    for (uint32_t k : kids[ai]) preds[k].push_back(ai);
+  }
+  std::vector<uint32_t> cls(n, 0);
   uint32_t next_id = 0;
   // Round 0: local keys (kind + exact parameters + arity).
   {
     std::unordered_map<std::vector<uint64_t>, uint32_t, VecU64Hash> table;
-    for (uint32_t ai = 0; ai < n_active; ++ai) {
-      const ANode& a = arena[active[ai]];
-      std::vector<uint64_t> key{static_cast<uint64_t>(a.kind),
-                                static_cast<uint64_t>(a.kids.size())};
-      switch (a.kind) {
-        case MKind::Int:
-          push_int128(key, a.lo);
-          push_int128(key, a.hi);
-          break;
-        case MKind::Char: key.push_back(static_cast<uint64_t>(a.rep)); break;
-        case MKind::Real:
-          key.push_back(a.mant);
-          key.push_back(a.expo);
-          break;
-        default: break;
-      }
+    std::vector<uint64_t> key;
+    for (uint32_t ai = 0; ai < n; ++ai) {
+      local_key(nodes[ai], key);
       auto [it, inserted] =
-          table.emplace(std::move(key), static_cast<uint32_t>(table.size()));
-      cls[active[ai]] = it->second;
+          table.emplace(key, static_cast<uint32_t>(table.size()));
+      cls[ai] = it->second;
     }
     next_id = static_cast<uint32_t>(table.size());
   }
@@ -443,29 +607,27 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
   // node's own class: grouping happens within one block, where it is a
   // shared constant.
   std::vector<std::vector<uint32_t>> members(next_id);
-  for (uint32_t ai = 0; ai < n_active; ++ai) {
-    members[cls[active[ai]]].push_back(ai);
-  }
-  std::vector<std::vector<uint64_t>> sig(n_active);
+  for (uint32_t ai = 0; ai < n; ++ai) members[cls[ai]].push_back(ai);
+  std::vector<std::vector<uint64_t>> sig(n);
   auto build_sig = [&](uint32_t ai) {
-    const ANode& a = arena[active[ai]];
+    const ANode& a = arena[nodes[ai]];
     std::vector<uint64_t>& s = sig[ai];
     s.clear();
-    for (uint32_t k : rkids[ai]) s.push_back(cls[k]);
+    for (uint32_t k : kids[ai]) s.push_back(cls[k]);
     if (opts.commutative &&
         (a.kind == MKind::Record || a.kind == MKind::Choice)) {
       std::sort(s.begin(), s.end());
     }
   };
-  std::vector<uint32_t> dirty(n_active);
-  for (uint32_t ai = 0; ai < n_active; ++ai) dirty[ai] = ai;
-  std::vector<char> in_dirty(n_active, 1);
+  std::vector<uint32_t> dirty(n);
+  for (uint32_t ai = 0; ai < n; ++ai) dirty[ai] = ai;
+  std::vector<char> in_dirty(n, 1);
   while (!dirty.empty()) {
     for (uint32_t ai : dirty) build_sig(ai);
     // Blocks holding a re-keyed node, in deterministic order.
     std::vector<uint32_t> blocks;
     blocks.reserve(dirty.size());
-    for (uint32_t ai : dirty) blocks.push_back(cls[active[ai]]);
+    for (uint32_t ai : dirty) blocks.push_back(cls[ai]);
     std::sort(blocks.begin(), blocks.end());
     blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
 
@@ -490,7 +652,7 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
       for (size_t gi = 1; gi < groups.size(); ++gi) {
         uint32_t id = next_id++;
         for (uint32_t ai : groups[gi]) {
-          cls[active[ai]] = id;
+          cls[ai] = id;
           for (uint32_t p : preds[ai]) {
             if (in_dirty[p] == 0) {
               in_dirty[p] = 1;
@@ -503,33 +665,54 @@ void CanonIndex::Impl::classify(uint32_t base, const CanonOptions& opts) {
     }
     dirty.swap(next_dirty);
   }
+  return cls;
+}
 
-  // ---- 5. stable canonical ids ---------------------------------------------
-  // Map each final block to a CanonId, reusing the id of any previously
-  // interned member (the partition restricted to old nodes never changes:
-  // bisimilarity depends only on the subgraph reachable from a node).
-  {
-    std::unordered_map<uint32_t, CanonId> block_id;
-    for (uint32_t i : active) {
-      if (arena[i].canon == kNoCanon) continue;
-      block_id.emplace(cls[i], arena[i].canon);
+void CanonIndex::Impl::refine_unclassified(uint32_t base,
+                                           const CanonOptions& opts) {
+  // The existing classes form the quotient of a minimal partition, which is
+  // itself minimal: refinement keeps every representative in its own block,
+  // and a new node shares a block with a representative iff it is bisimilar
+  // to that class.
+  ++stats.refinements;
+  const CanonId n_classes = next_canon;
+  const auto total = static_cast<uint32_t>(arena.size());
+  std::vector<uint32_t> nodes(class_rep.begin(), class_rep.end());
+  std::vector<uint32_t> pos(total - base);  // new node -> index in nodes
+  for (uint32_t i = base; i < total; ++i) {
+    const ANode& a = arena[i];
+    if (a.degenerate || a.rep_node != i || a.canon != kNoCanon) continue;
+    pos[i - base] = static_cast<uint32_t>(nodes.size());
+    nodes.push_back(i);
+  }
+  std::vector<std::vector<uint32_t>> kids(nodes.size());
+  for (uint32_t ai = 0; ai < nodes.size(); ++ai) {
+    const uint32_t i = nodes[ai];
+    kids[ai].reserve(arena[i].kids.size());
+    for (uint32_t k : arena[i].kids) {
+      const uint32_t rk = arena[k].rep_node;
+      kids[ai].push_back(arena[rk].canon != kNoCanon ? arena[rk].canon
+                                                     : pos[rk - base]);
     }
-    for (uint32_t i : active) {
-      auto it = block_id.find(cls[i]);
-      CanonId id;
-      if (it != block_id.end()) {
-        id = it->second;
-      } else {
-        id = next_canon++;
-        block_id.emplace(cls[i], id);
-      }
-      assert(arena[i].canon == kNoCanon || arena[i].canon == id);
-      arena[i].canon = id;
-      if (id >= class_rep.size()) {
-        class_rep.resize(id + 1, 0xffffffffu);
-      }
-      if (class_rep[id] == 0xffffffffu) class_rep[id] = i;
+  }
+  const std::vector<uint32_t> block = refine(nodes, kids, opts);
+  std::unordered_map<uint32_t, CanonId> class_of_block;
+  for (CanonId c = 0; c < n_classes; ++c) class_of_block.emplace(block[c], c);
+  assert(class_of_block.size() == n_classes);
+  std::vector<CanonId> fresh;
+  for (uint32_t ai = n_classes; ai < nodes.size(); ++ai) {
+    auto [it, unseen] = class_of_block.try_emplace(block[ai]);
+    if (unseen) {
+      it->second = mint(nodes[ai]);
+      fresh.push_back(it->second);
     }
+    arena[nodes[ai]].canon = it->second;
+  }
+  // Register the fresh classes once every node is classified (on a cycle
+  // their signatures name each other).
+  for (CanonId id : fresh) {
+    signature(class_rep[id], opts, sig_a);
+    by_sig.emplace(VecU64Hash{}(sig_a), id);
   }
 }
 
@@ -557,54 +740,15 @@ void CanonIndex::Impl::assign_sccs(CanonId root) {
   if (scc[root] != kNoScc) return;
   // Classes assigned by an earlier call are finished: kid lists never
   // change, so nothing they reach can be unassigned.
-  struct Visit {
-    uint32_t index, low;
-    bool on_stack;
-  };
-  std::unordered_map<CanonId, Visit> visit;
-  std::vector<CanonId> stack;
-  std::vector<std::pair<CanonId, uint32_t>> call;  // (class, next kid)
-  auto open = [&](CanonId c) {
-    const auto i = static_cast<uint32_t>(visit.size());
-    visit.emplace(c, Visit{i, i, true});
-    stack.push_back(c);
-    call.emplace_back(c, 0);
-  };
-  open(root);
-  while (!call.empty()) {
-    const CanonId c = call.back().first;
-    const uint32_t k = call.back().second;
-    if (k < arena[class_rep[c]].kids.size()) {
-      ++call.back().second;
-      const CanonId kc = kid_class(class_rep[c], k);
-      if (scc[kc] != kNoScc) continue;
-      auto it = visit.find(kc);
-      if (it == visit.end()) {
-        open(kc);
-      } else if (it->second.on_stack) {
-        Visit& v = visit.at(c);
-        v.low = std::min(v.low, it->second.index);
-      }
-      continue;
-    }
-    const Visit& v = visit.at(c);
-    if (v.low == v.index) {
-      const uint32_t id = next_scc++;
-      CanonId m;
-      do {
-        m = stack.back();
-        stack.pop_back();
-        visit.at(m).on_stack = false;
-        scc[m] = id;
-      } while (m != c);
-    }
-    const uint32_t low = v.low;
-    call.pop_back();
-    if (!call.empty()) {
-      Visit& parent = visit.at(call.back().first);
-      parent.low = std::min(parent.low, low);
-    }
-  }
+  Tarjan().run(
+      root, [&](CanonId c) { return arena[class_rep[c]].kids.size(); },
+      [&](CanonId c, uint32_t k) { return kid_class(class_rep[c], k); },
+      [&](CanonId c) { return scc[c] != kNoScc; },
+      [&](const std::vector<CanonId>& members) {
+        const uint32_t id = next_scc++;
+        for (CanonId m : members) scc[m] = id;
+        return true;
+      });
 }
 
 namespace {
@@ -628,10 +772,7 @@ StableId CanonIndex::stable_id(CanonId id) {
   auto& arena = impl_->arena;
   auto& memo = impl_->stable_memo;
   if (auto it = memo.find(id); it != memo.end()) return it->second;
-  if (id >= impl_->class_rep.size() ||
-      impl_->class_rep[id] == 0xffffffffu) {
-    return {};
-  }
+  if (id >= impl_->class_rep.size()) return {};
   impl_->assign_sccs(id);
 
   constexpr uint32_t kNoBack = 0xffffffffu;

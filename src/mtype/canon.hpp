@@ -8,7 +8,7 @@
 // compare by id equality instead of coinductive traversal, the same
 // canonicalize-before-compare move session-type-isomorphism checkers make.
 //
-// The algorithm is naive partition refinement (bisimulation):
+// The classes are the bisimulation classes of the interned nodes:
 //   1. copy the graph's nodes into the arena, precomputing each node's
 //      structural child list (flattened under associativity, units dropped
 //      under unit-elimination — exactly what the Comparer matches on).
@@ -19,10 +19,19 @@
 //      flattened form is a single child whose resolution is a non-Record);
 //      fully-transparent cycles (unsealed or unproductive µX.X recs) get
 //      kNoCanon and never participate in fast paths;
-//   3. iterate: class(n) = intern(kind, exact params, child classes) with
-//      the child list sorted when the options are commutative, until the
-//      partition stops refining. The limit is bisimilarity, i.e. exactly
-//      the Comparer's equivalence relation for the same options.
+//   3. propagate degeneracy upward: a structural node with a degenerate
+//      child gets kNoCanon too;
+//   4. give each new structural node a class, kids first (Tarjan over the
+//      new nodes). A class's signature is its local key (kind, exact
+//      params, arity) plus its resolved kid-class list, sorted when the
+//      options are commutative. An acyclic node looks its signature up in
+//      a table holding every class: a hit joins that class, a miss mints a
+//      fresh id. The first new cycle (non-trivial SCC or self-loop) stops
+//      the lookups: every new node still unclassified is refined in one
+//      pass together with one representative per existing class, and each
+//      block maps to the class it contains or to a fresh id. The result is
+//      bisimilarity, i.e. exactly the Comparer's equivalence relation for
+//      the same options.
 //
 // Canonical ids are STABLE: interning more graphs later never changes an
 // id already handed out (bisimilarity of a node depends only on the
@@ -40,6 +49,19 @@
 // seal_rec or at_mut touched a prefix node since that intern
 // (Graph::edited_below), the whole graph is copied afresh instead. Either
 // way the ids equal those a full re-intern would assign.
+//
+// Classification (step 4) touches only the new nodes too. Old classes never
+// change, and the partition of the arena is minimal (bisimilarity), so no
+// two classes share a signature: a node whose kids are classified belongs
+// to the class with its signature if there is one, else to a new class. The
+// signature table is keyed on a 64-bit digest and every hit is confirmed
+// against the class representative's recomputed signature. Once a new
+// cycle appears, the nodes left are refined against the quotient of the old
+// partition, which is itself minimal, so the blocks they share with old
+// classes are exactly the bisimilar ones. Acyclic growth touches only the
+// new nodes; an intern with a new cycle refines once, over the classes plus
+// its unclassified nodes, which is never more than the arena. stats()
+// counts the work.
 //
 // Two standard configurations:
 //   * iso ids    — CanonOptions matching the comparison's rule toggles;
@@ -107,6 +129,15 @@ struct StableIdHash {
   }
 };
 
+/// Work counters of the classification step (CanonIndex::stats()).
+struct CanonStats {
+  /// New structural nodes classified by a signature-table lookup.
+  uint64_t looked_up = 0;
+  /// Refinement passes: at most one per intern, run when the intern meets
+  /// its first new cycle. Zero while growth is acyclic.
+  uint64_t refinements = 0;
+};
+
 struct CanonOptions {
   bool commutative = true;
   bool associative = true;
@@ -141,7 +172,8 @@ class CanonIndex {
 
   /// Memoized intern keyed on (g.uid(), g.version()): repeated calls for
   /// an unchanged graph return the same shared snapshot without re-running
-  /// refinement. Only the latest snapshot per graph is kept. Thread-safe.
+  /// classification. Only the latest snapshot per graph is kept.
+  /// Thread-safe.
   [[nodiscard]] std::shared_ptr<const std::vector<CanonId>> ids_for(const Graph& g);
 
   /// Cross-process content digest of class `id` (see StableId). Memoized;
@@ -162,6 +194,8 @@ class CanonIndex {
   /// suffix interning this is the sum of the interned graphs' sizes, plus
   /// one full copy per re-intern forced by an edit below the prefix.
   [[nodiscard]] size_t interned_nodes() const;
+  /// Classification work done so far (see CanonStats).
+  [[nodiscard]] CanonStats stats() const;
 
  private:
   struct Impl;

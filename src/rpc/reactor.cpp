@@ -63,7 +63,9 @@ std::optional<uint16_t> frame_origin(const std::vector<uint8_t>& frame) {
 }  // namespace
 
 Reactor::Reactor(Node& node, ReactorOptions opts)
-    : node_(node), opts_(opts) {
+    : node_(node),
+      opts_(opts),
+      evs_(static_cast<size_t>(std::max(opts.max_events, 1))) {
   epfd_ = epoll_create1(EPOLL_CLOEXEC);
   if (epfd_ < 0) {
     throw TransportError(std::string("epoll_create1: ") + std::strerror(errno));
@@ -229,8 +231,8 @@ void Reactor::update_interest() {
 }
 
 size_t Reactor::run_once(int timeout_ms) {
-  std::vector<epoll_event> evs(static_cast<size_t>(opts_.max_events));
-  int n = epoll_wait(epfd_, evs.data(), opts_.max_events, timeout_ms);
+  int n = epoll_wait(epfd_, evs_.data(), static_cast<int>(evs_.size()),
+                     timeout_ms);
   if (n < 0) {
     if (errno == EINTR) n = 0;
     else
@@ -241,7 +243,7 @@ size_t Reactor::run_once(int timeout_ms) {
   size_t ready = 0;
   std::vector<int> dead_fds;
   for (int i = 0; i < n; ++i) {
-    int fd = evs[static_cast<size_t>(i)].data.fd;
+    int fd = evs_[static_cast<size_t>(i)].data.fd;
     if (listener_ && fd == listener_->fd()) {
       accept_pending();
       continue;
@@ -250,7 +252,7 @@ size_t Reactor::run_once(int timeout_ms) {
     if (it == conns_.end()) continue;
     ++ready;
     bool dead = false;
-    processed += service(it->second, evs[static_cast<size_t>(i)].events, dead);
+    processed += service(it->second, evs_[static_cast<size_t>(i)].events, dead);
     if (dead) dead_fds.push_back(fd);
   }
   for (int fd : dead_fds) retire(fd);

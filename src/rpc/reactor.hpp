@@ -35,6 +35,8 @@
 #include "rpc/rpc.hpp"
 #include "transport/socket.hpp"
 
+struct epoll_event;  // <sys/epoll.h>
+
 namespace mbird::rpc {
 
 struct ReactorOptions {
@@ -109,6 +111,8 @@ class Reactor {
   std::map<uint16_t, obs::Gauge*> peer_inflight_;
   // Recent retire timestamps (ns) for retire-storm detection.
   std::vector<uint64_t> retire_times_;
+  // epoll_wait's result buffer, sized once from opts_.max_events.
+  std::vector<epoll_event> evs_;
 };
 
 }  // namespace mbird::rpc

@@ -746,20 +746,27 @@ void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* o
     o.be(id, 8);
     TE_NEXT;
   }
+  // Ops that hold owning locals close their scope before TE_NEXT: a
+  // computed goto leaves a scope without running its destructors.
   TE_OP(MCustom) {
-    const Op& op = ops[pc];
-    const Value& v = exec::follow(*vstack.back(), paths + op.poff, op.plen);
-    Value conv = exec::find_custom(customs_, prog.custom_names[op.a])(v);
-    auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
-    o.raw(bytes.data(), bytes.size());
+    {
+      const Op& op = ops[pc];
+      const Value& v = exec::follow(*vstack.back(), paths + op.poff, op.plen);
+      Value conv = exec::find_custom(customs_, prog.custom_names[op.a])(v);
+      auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
+      o.raw(bytes.data(), bytes.size());
+    }
     TE_NEXT;
   }
   TE_OP(MOpaque) {
-    const Op& op = ops[pc];
-    const Value& v = exec::follow(*vstack.back(), paths + op.poff, op.plen);
-    Value conv = exec::run_convert(*prog.fallback, op.a, v, adapter_, customs_);
-    auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
-    o.raw(bytes.data(), bytes.size());
+    {
+      const Op& op = ops[pc];
+      const Value& v = exec::follow(*vstack.back(), paths + op.poff, op.plen);
+      Value conv =
+          exec::run_convert(*prog.fallback, op.a, v, adapter_, customs_);
+      auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
+      o.raw(bytes.data(), bytes.size());
+    }
     TE_NEXT;
   }
   TE_OP(MRecordEnter) {
@@ -992,12 +999,15 @@ void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
     TE_NEXT;
   }
   TE_OP(NOpaque) {
-    const Op& op = ops[pc];
-    const Program::NativeSlot& s = prog.natives[op.a];
-    Value v = read_image(il, s.layout_node, *heap, base);
-    Value conv = exec::run_convert(*prog.fallback, s.aux, v, adapter_, customs_);
-    auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
-    o.raw(bytes.data(), bytes.size());
+    {  // scoped: see MCustom
+      const Op& op = ops[pc];
+      const Program::NativeSlot& s = prog.natives[op.a];
+      Value v = read_image(il, s.layout_node, *heap, base);
+      Value conv =
+          exec::run_convert(*prog.fallback, s.aux, v, adapter_, customs_);
+      auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
+      o.raw(bytes.data(), bytes.size());
+    }
     TE_NEXT;
   }
   TE_OP(Halt) {

@@ -298,14 +298,18 @@ TEST(CanonIndex, IdsForKeepsOnlyTheLatestSnapshot) {
 
 // The declaration chain of the batch-scaling workload: NodeK points at
 // Node(K-1) and Node(K/2), so each declaration lowers on top of the ones
-// before it.
-std::string chain_module(int n, bool java) {
+// before it. With `recursive`, NodeK also points at itself, so every
+// declaration lowers to a new µ-type.
+std::string chain_module(int n, bool java, bool recursive = false) {
   std::string src;
   for (int k = 0; k < n; ++k) {
     src += (java ? "public class Node" : "class Node") + std::to_string(k) +
            " {\n";
     if (!java) src += "public:\n";
     src += "  int kind;\n  int line;\n  float weight;\n";
+    if (recursive) {
+      src += "  Node" + std::to_string(k) + (java ? " next;\n" : " *next;\n");
+    }
     if (k > 0) {
       src += "  Node" + std::to_string(k - 1) + (java ? " prev;\n" : " *prev;\n");
       src += "  Node" + std::to_string(k / 2) + (java ? " owner;\n" : " *owner;\n");
@@ -409,6 +413,8 @@ TEST(CanonIndexSuffix, LoweringDeclarationsOneAtATimeMatchesFullIntern) {
       const std::string name = "Node" + std::to_string(k);
       ASSERT_NE(ce.lower_decl(name), kNullRef);
       ASSERT_NE(je.lower_decl(name), kNullRef);
+      const CanonStats before = inc.stats();
+      const size_t placed = inc.interned_nodes();
       auto ic = inc.ids_for(gc);
       auto ij = inc.ids_for(gj);
       expect_matches_fresh(inc, *ic, gc);
@@ -416,6 +422,19 @@ TEST(CanonIndexSuffix, LoweringDeclarationsOneAtATimeMatchesFullIntern) {
       // Every node is copied once: the arena grows with the graphs, not
       // with the number of interns.
       ASSERT_EQ(inc.interned_nodes(), gc.size() + gj.size()) << name;
+      // Work pin: growth is acyclic, so every new structural node is
+      // classified by one signature lookup, nothing is refined, and no
+      // old node is classified again.
+      const CanonStats after = inc.stats();
+      const uint64_t added = inc.interned_nodes() - placed;
+      const uint64_t looked_up = after.looked_up - before.looked_up;
+      EXPECT_EQ(after.refinements, 0u) << name;
+      EXPECT_GT(looked_up, 0u) << name;
+      EXPECT_LE(looked_up, added) << name;
+      if (opts == CanonOptions::strict()) {
+        // No node is transparent under strict options.
+        EXPECT_EQ(looked_up, added) << name;
+      }
     }
   }
 }
@@ -548,6 +567,117 @@ TEST(CanonIndexSuffix, ConcurrentIdsForOfGrownGraphShareOneSnapshot) {
     for (const auto& ids : got) EXPECT_EQ(ids.get(), got[0].get());
     expect_matches_fresh(idx, *got[0], g);
     EXPECT_EQ(idx.interned_nodes(), g.size());
+  }
+}
+
+// ---- new cycles ---------------------------------------------------------------
+
+// µX.Record(leaf, Choice(Unit, X)), allocated and sealed in one go.
+Ref mu_list(Graph& g, Ref leaf) {
+  Ref rec = g.rec_placeholder();
+  g.seal_rec(rec, g.record({leaf, g.choice({g.unit(), g.var(rec)})}));
+  return rec;
+}
+
+// A mutually recursive pair: A = µ.Record(la, Choice(Unit, B)) and
+// B = µ.Record(lb, Choice(Unit, A)). Returns {A, B}.
+std::pair<Ref, Ref> mu_pair(Graph& g, Ref la, Ref lb) {
+  Ref a = g.rec_placeholder();
+  Ref b = g.rec_placeholder();
+  g.seal_rec(b, g.record({lb, g.choice({g.unit(), g.var(a)})}));
+  g.seal_rec(a, g.record({la, g.choice({g.unit(), g.var(b)})}));
+  return {a, b};
+}
+
+TEST(CanonIndexCycles, NewCycleBisimilarToAnInternedOneJoinsItsClass) {
+  for (const CanonOptions& opts : test_options()) {
+    Graph g;
+    Ref t = mu_list(g, g.integer(0, 9));
+    CanonIndex idx(opts);
+    const CanonId want = idx.intern(g)[t];
+    ASSERT_NE(want, kNoCanon);
+    const size_t classes = idx.classes();
+    const CanonStats before = idx.stats();
+
+    // A second copy of the same µ-type, and a mutually recursive pair that
+    // unfolds to it: both are new cycles bisimilar to `t`.
+    Ref copy = mu_list(g, g.integer(0, 9));
+    auto [a, b] = mu_pair(g, g.integer(0, 9), g.integer(0, 9));
+    auto ids = idx.ids_for(g);
+    EXPECT_EQ((*ids)[copy], want);
+    EXPECT_EQ((*ids)[a], want);
+    EXPECT_EQ((*ids)[b], want);
+    EXPECT_EQ(idx.classes(), classes) << "no class was minted";
+    EXPECT_EQ(idx.stats().refinements, before.refinements + 1)
+        << "three new cycles, one refinement";
+    expect_matches_fresh(idx, *ids, g);
+  }
+}
+
+TEST(CanonIndexCycles, DistinctNewCyclesGetFreshIds) {
+  for (const CanonOptions& opts : test_options()) {
+    Graph g;
+    Ref t = mu_list(g, g.integer(0, 9));
+    CanonIndex idx(opts);
+    (void)idx.intern(g);
+    const auto old_classes = static_cast<CanonId>(idx.classes());
+    const CanonStats before = idx.stats();
+
+    Ref other = mu_list(g, g.real(24, 8));
+    auto [a, b] = mu_pair(g, g.integer(0, 9), g.character(Repertoire::Ascii));
+    auto ids = idx.ids_for(g);
+    for (Ref r : {other, a, b}) {
+      ASSERT_NE((*ids)[r], kNoCanon);
+      EXPECT_GE((*ids)[r], old_classes) << "ref " << r << " got an old id";
+    }
+    EXPECT_NE((*ids)[a], (*ids)[b]) << "the pair's halves differ";
+    EXPECT_NE((*ids)[other], (*ids)[t]);
+    EXPECT_EQ(idx.stats().refinements, before.refinements + 1);
+    expect_matches_fresh(idx, *ids, g);
+
+    // Interned again from another graph, the same shapes join those ids.
+    Graph h;
+    Ref other2 = mu_list(h, h.real(24, 8));
+    auto [a2, b2] = mu_pair(h, h.integer(0, 9), h.character(Repertoire::Ascii));
+    const size_t classes = idx.classes();
+    auto hid = idx.intern(h);
+    EXPECT_EQ(hid[other2], (*ids)[other]);
+    EXPECT_EQ(hid[a2], (*ids)[a]);
+    EXPECT_EQ(hid[b2], (*ids)[b]);
+    EXPECT_EQ(idx.classes(), classes);
+    expect_matches_fresh(idx, hid, h);
+  }
+}
+
+TEST(CanonIndexCycles, RecursiveDeclarationsRefineAtMostOncePerIntern) {
+  const int n = 30;
+  DiagnosticEngine diags;
+  stype::Module cm =
+      cfront::parse_c(chain_module(n, false, true), "r.hpp", diags);
+  stype::Module jm =
+      javasrc::parse_java(chain_module(n, true, true), "R.java", diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.summary();
+  for (const CanonOptions& opts : test_options()) {
+    // One declaration per intern: each adds a new cycle and refines once.
+    Graph gc, gj;
+    lower::LowerEngine ce(cm, gc, diags), je(jm, gj, diags);
+    CanonIndex inc(opts);
+    for (int k = 0; k < n; ++k) {
+      const std::string name = "Node" + std::to_string(k);
+      ASSERT_NE(ce.lower_decl(name), kNullRef);
+      ASSERT_NE(je.lower_decl(name), kNullRef);
+      const uint64_t before = inc.stats().refinements;
+      auto ic = inc.ids_for(gc);
+      expect_matches_fresh(inc, *ic, gc);
+      EXPECT_EQ(inc.stats().refinements, before + 1) << name;
+      auto ij = inc.ids_for(gj);
+      expect_matches_fresh(inc, *ij, gj);
+      EXPECT_LE(inc.stats().refinements, before + 2) << name;
+    }
+    // The whole module in one intern: n new cycles, one refinement.
+    CanonIndex whole(opts);
+    (void)whole.intern(gc);
+    EXPECT_EQ(whole.stats().refinements, 1u);
   }
 }
 

@@ -9,8 +9,10 @@
 // tests/property/native_marshal_test.cpp; these cases pin the mechanisms.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "codegen/stubcache.hpp"
 #include "compare/compare.hpp"
@@ -21,6 +23,42 @@
 #include "runtime/threaded.hpp"
 #include "runtime/vm.hpp"
 #include "wire/wire.hpp"
+
+// Live heap allocations (operator new minus operator delete, all threads),
+// so a test can check that a marshal loop frees everything it allocates.
+namespace {
+std::atomic<int64_t> g_live_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p != nullptr) g_live_allocs.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace mbird {
 namespace {
@@ -292,6 +330,71 @@ TEST(ThreadedNative, SimdFailureRescansAndMatchesVmFaultOrder) {
   heap.write_uint(base + 20, 1, 100);
   heap.write_uint(base + 38, 1, 201);
   expect_same_fault();
+}
+
+/// Index of `d` in the program's destination table, appending it if absent.
+uint32_t dst_slot(Program& p, Ref d) {
+  for (uint32_t k = 0; k < p.dst_types.size(); ++k) {
+    if (p.dst_types[k] == d) return k;
+  }
+  p.dst_types.push_back(d);
+  return static_cast<uint32_t>(p.dst_types.size() - 1);
+}
+
+// Custom and opaque ops build owning temporaries (the converted Value, the
+// encoded bytes, the materialized image Value). Under computed-goto
+// dispatch those must still be destroyed before jumping to the next op.
+TEST(ThreadedDispatch, CustomAndOpaqueOpsFreeTheirTemporaries) {
+  Built s = pair_of([](Graph& g) { return g.integer(0, 1000); },
+                    [](Graph& g) { return g.integer(0, 1000); });
+  Program custom = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
+  for (auto& ins : custom.code) {
+    if (ins.op == planir::OpCode::EmitInt) {
+      ins.op = planir::OpCode::EmitCustom;
+      ins.a = 0;
+    }
+  }
+  custom.custom_names.push_back("plus_one");
+  planir::require_valid(custom);
+  runtime::CustomRegistry reg;
+  reg["plus_one"] = [](const Value& v) {
+    return Value::integer(v.as_int() + 1);
+  };
+  // The whole value through the fallback convert program.
+  Program opaque = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
+  opaque.code[opaque.entry] = planir::Instr{
+      planir::OpCode::EmitOpaque, opaque.fallback->entry, dst_slot(opaque, s.b)};
+  planir::require_valid(opaque);
+
+  NativeCase nc = annotated_bytes_case(4);
+  Program native = nc.prog;
+  native.natives.push_back({.src_off = 0,
+                            .width = 0,
+                            .layout_node = 0,
+                            .flags = 0,
+                            .aux = native.fallback->entry});
+  native.code[native.entry] = planir::Instr{
+      planir::OpCode::LoadOpaque,
+      static_cast<uint32_t>(native.natives.size() - 1), dst_slot(native, nc.b)};
+  planir::require_valid(native);
+  NativeHeap heap;
+  uint64_t base = heap.alloc(4, 8);
+  for (int k = 0; k < 4; ++k) heap.write_uint(base + k, 1, 7u * k);
+
+  ThreadedEngine tc(custom, {}, reg), to(opaque), tn(native);
+  runtime::PlanVm vn(nc.prog);
+  const Value in = Value::integer(41);
+  EXPECT_EQ(tc.marshal(in), runtime::PlanVm(custom, {}, reg).marshal(in));
+  EXPECT_EQ(to.marshal(in), runtime::PlanVm(opaque).marshal(in));
+  EXPECT_EQ(tn.marshal_native(heap, base), vn.marshal_native(heap, base));
+  const int64_t before = g_live_allocs.load();
+  for (int i = 0; i < 1000; ++i) {
+    (void)tc.marshal(in);
+    (void)to.marshal(in);
+    (void)tn.marshal_native(heap, base);
+  }
+  EXPECT_EQ(g_live_allocs.load() - before, 0)
+      << "allocations still live after 3000 marshals";
 }
 
 TEST(ThreadedNative, MarshalIntoTrimsOnThrow) {
