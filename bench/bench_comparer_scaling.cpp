@@ -41,16 +41,34 @@
 // next to wall time for BM_PersistentWarmRestart.
 std::atomic<uint64_t> g_allocs{0};
 
-void* operator new(std::size_t n) {
+// The malloc/free-calling forms stay out of line: once GCC inlines both
+// sides into one caller it pairs malloc with operator delete (or operator
+// new with free) and warns -Wmismatched-new-delete. Every other form
+// forwards to them.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace {
 

@@ -28,7 +28,7 @@
 #include "runtime/convert.hpp"
 #include "runtime/cside.hpp"
 #include "runtime/jside.hpp"
-#include "runtime/vm.hpp"
+#include "runtime/threaded.hpp"
 #include "wire/wire.hpp"
 
 namespace {
@@ -220,8 +220,9 @@ BENCHMARK(BM_IdlImposedTwoHop)->Arg(4)->Arg(64)->Arg(1024)->Arg(16384);
 // (BM_PlanIRStub), plus a record/choice-heavy workload where dispatch cost
 // dominates: each list element carries a two-level choice (4 x 6 = 24
 // flattened arms). The tree interpreter re-scans the arm list per layer;
-// the VM walks the precompiled trie. The fused pair measures marshaling
-// straight to wire bytes against convert-then-encode.
+// the engine walks the precompiled trie. The fused pair measures marshaling
+// straight to wire bytes against convert-then-encode. All three PlanIR rows
+// run on runtime::ThreadedEngine.
 
 void BM_PlanIRStub(benchmark::State& state) {
   World& w = world();
@@ -236,7 +237,7 @@ void BM_PlanIRStub(benchmark::State& state) {
   JRef pv = make_point_vector(jheap, n);
 
   runtime::JReader reader(w.java, jheap);
-  runtime::PlanVm vm(prog);
+  runtime::ThreadedEngine engine(prog);
   runtime::LayoutEngine layout(w.c);
 
   for (auto _ : state) {
@@ -244,7 +245,7 @@ void BM_PlanIRStub(benchmark::State& state) {
     runtime::CWriter writer(layout, cheap);
     Value app = Value::record(
         {reader.read(w.java.find("PointVector"), {}, JSlot::reference(pv))});
-    Value c_shaped = vm.apply(app);
+    Value c_shaped = engine.apply(app);
     writer.materialize(w.c.find("points"), {}, c_shaped);
     benchmark::DoNotOptimize(cheap);
   }
@@ -337,9 +338,9 @@ void BM_PlanIRChoiceHeavy(benchmark::State& state) {
   ChoiceWorld& w = choice_world();
   int n = static_cast<int>(state.range(0));
   Value v = ChoiceWorld::make_value(n);
-  runtime::PlanVm vm(w.convert_prog);
+  runtime::ThreadedEngine engine(w.convert_prog);
   for (auto _ : state) {
-    Value out = vm.apply(v);
+    Value out = engine.apply(v);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -364,9 +365,9 @@ void BM_FusedConvertMarshal(benchmark::State& state) {
   ChoiceWorld& w = choice_world();
   int n = static_cast<int>(state.range(0));
   Value v = ChoiceWorld::make_value(n);
-  runtime::PlanVm vm(w.marshal_prog);
+  runtime::ThreadedEngine engine(w.marshal_prog);
   for (auto _ : state) {
-    std::vector<uint8_t> bytes = vm.marshal(v);
+    std::vector<uint8_t> bytes = engine.marshal(v);
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -20,7 +20,6 @@
 #include "runtime/convert.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
-#include "runtime/vm.hpp"
 #include "wire/wire.hpp"
 
 // Heap-allocation counter for the marshaling benchmarks: the zero-copy
@@ -28,16 +27,34 @@
 // the second axis next to wall time.
 std::atomic<uint64_t> g_allocs{0};
 
-void* operator new(std::size_t n) {
+// The malloc/free-calling forms stay out of line: once GCC inlines both
+// sides into one caller it pairs malloc with operator delete (or operator
+// new with free) and warns -Wmismatched-new-delete. Every other form
+// forwards to them.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace {
 
@@ -150,11 +167,10 @@ BENCHMARK(BM_RoundtripCursor);
 //
 // The E4 workload: a record-heavy telemetry struct of byte-wide fields (the
 // shape BlockCopy specializes on a little-endian host) plus one ranged
-// 16-bit sequence number that forces a genuine converted field. Three ways
-// to put it on the wire:
-//   * TwoPhase — read_image -> Converter -> wire::encode (tree paths);
-//   * FusedValue — PlanVm::marshal on a pre-read Value (PR2 fused path);
-//   * NativeZeroCopy — PlanVm::marshal_native straight from heap bytes.
+// 16-bit sequence number that forces a genuine converted field. The
+// reference rows run the tree paths:
+//   * TwoPhaseFromHeap — read_image -> Converter -> wire::encode;
+//   * TwoPhaseFromValue — Converter -> wire::encode on a pre-read Value.
 
 struct NativeWorld {
   std::shared_ptr<const runtime::ImageLayout> layout;
@@ -263,44 +279,28 @@ void BM_MarshalTwoPhaseFromHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_MarshalTwoPhaseFromHeap);
 
-void BM_MarshalFusedFromValue(benchmark::State& state) {
+void BM_MarshalTwoPhaseFromValue(benchmark::State& state) {
   NativeWorld& w = native_world();
-  runtime::PlanVm vm(w.fused);
+  runtime::Converter conv(w.plan);
   Value v = runtime::read_image(*w.layout, 0, w.heap, w.base);
   uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    auto buf = vm.marshal(v);
+    auto buf = wire::encode(w.g, w.msg, conv.apply(w.root, v));
     benchmark::DoNotOptimize(buf);
   }
   state.counters["allocs_per_op"] =
       static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) /
       static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_MarshalFusedFromValue);
-
-void BM_MarshalNativeZeroCopy(benchmark::State& state) {
-  NativeWorld& w = native_world();
-  runtime::PlanVm vm(w.native);
-  std::vector<uint8_t> buf;
-  buf.reserve(256);
-  uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    vm.marshal_native_into(w.heap, w.base, buf);
-    benchmark::DoNotOptimize(buf);
-  }
-  state.counters["allocs_per_op"] =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) /
-      static_cast<double>(state.iterations());
-  state.counters["block_copies"] = static_cast<double>(w.block_copies());
-}
-BENCHMARK(BM_MarshalNativeZeroCopy);
+BENCHMARK(BM_MarshalTwoPhaseFromValue);
 
 // ---- engine tiers on the same workload --------------------------------------
 //
-// The vm -> threaded -> compiled progression over the E4 telemetry shape.
-// FusedThreaded vs FusedFromValue is the pair bench/check_engine_tiers.sh
-// gates on (threaded must hold >= 1.3x on fused marshal); the Native rows
-// show the remaining headroom down to a dlopen'd C stub.
+// The PlanIR engine and the compiled stubs over the E4 telemetry shape.
+// FusedThreaded vs TwoPhaseFromValue (same pre-read Value) is the pair
+// bench/check_engine_tiers.sh gates on; NativeThreaded vs TwoPhaseFromHeap
+// is the native acceptance ratio in bench/run_benches.sh; NativeCompiled
+// shows the remaining headroom down to a dlopen'd C stub.
 
 void BM_MarshalFusedThreaded(benchmark::State& state) {
   NativeWorld& w = native_world();
@@ -339,6 +339,7 @@ void BM_MarshalNativeThreaded(benchmark::State& state) {
   state.counters["simd_blocks_per_op"] =
       static_cast<double>(te.stats().simd_blocks) /
       static_cast<double>(state.iterations());
+  state.counters["block_copies"] = static_cast<double>(w.block_copies());
 }
 BENCHMARK(BM_MarshalNativeThreaded);
 

@@ -7,25 +7,25 @@
 # exists with another config) and runs them with google-benchmark's JSON
 # reporter.
 #
-# bench/BENCH_planir.json documents the two PlanIR acceptance ratios:
+# bench/BENCH_planir.json documents the two PlanIR acceptance ratios,
+# all PlanIR rows running on the PlanIR engine (runtime::ThreadedEngine):
 #   * BM_PlanIRChoiceHeavy >= 2x BM_TreeChoiceHeavy (record/choice-heavy
-#     conversion, bytecode VM vs. tree interpreter), and
+#     conversion, engine vs. tree interpreter), and
 #   * BM_FusedConvertMarshal beating BM_ConvertThenMarshal (fused
 #     convert-to-wire vs. two-phase convert + encode).
 #
 # bench/BENCH_native.json documents the zero-copy native marshaler and
-# the engine tiers above it:
-#   * BM_MarshalNativeZeroCopy >= 3x BM_MarshalTwoPhaseFromHeap (the
+# the tiers around it:
+#   * BM_MarshalNativeThreaded >= 3x BM_MarshalTwoPhaseFromHeap (the
 #     acceptance ratio) with block_copies >= 1 (the byte-wide spans
 #     collapse into BlockCopy) and allocs_per_op near zero;
-#   * BM_MarshalFusedFromValue sits between the two: fused encode but
-#     still fed from a materialized Value;
-#   * BM_MarshalFusedThreaded >= 1.3x BM_MarshalFusedFromValue (the
-#     bench/check_engine_tiers.sh gate): same fused program, pre-decoded
-#     computed-goto stream instead of the switch loop;
-#   * BM_MarshalNativeThreaded / BM_MarshalNativeCompiled show the rest
-#     of the ladder down to a dlopen'd C stub (the compiled row needs a
-#     host cc and is skipped without one).
+#   * BM_MarshalTwoPhaseFromValue is the same convert + encode fed from a
+#     pre-read Value;
+#   * BM_MarshalFusedThreaded >= 2.55x BM_MarshalTwoPhaseFromValue (the
+#     bench/check_engine_tiers.sh gate; its header derives the floor):
+#     same Value, fused pre-decoded computed-goto stream;
+#   * BM_MarshalNativeCompiled shows the rest of the ladder down to a
+#     dlopen'd C stub (needs a host cc and is skipped without one).
 #
 # bench/BENCH_compare.json documents the cross-pair cache:
 #   * BM_CompareClassesSoloPairs is the no-cache baseline;

@@ -224,7 +224,7 @@ class TypeEmitter {
 /// Emits converter functions, one per (PlanIR instruction, src ref, dst ref)
 /// triple. Consuming the verified flat program (rather than the plan tree)
 /// means Alias indirections are already resolved and record/choice layouts
-/// come from the IR's side tables — the same arrays the VM executes.
+/// come from the IR's side tables — the same arrays the engine executes.
 class ConvEmitter {
  public:
   ConvEmitter(const Graph& ga, const Graph& gb, const planir::Program& prog,
@@ -276,7 +276,7 @@ class ConvEmitter {
     // types still reach here wrapped in their Rec node: unfold both sides
     // and forward. The casts are sound — a Rec's typedef IS its body's
     // struct. Memoization on the Rec refs breaks the recursion. MapList is
-    // exempt: it consumes the (list-shaped) Rec itself, like the VM.
+    // exempt: it consumes the (list-shaped) Rec itself, like the engine.
     if ((is_rec(ga_, a) || is_rec(gb_, b)) &&
         ins.op != planir::OpCode::MapList) {
       std::string inner = emit(unfold(ga_, a), unfold(gb_, b), idx);
@@ -995,7 +995,7 @@ CStub generate_c_stub(const Graph& ga, Ref a, const Graph& gb, Ref b,
                       const plan::PlanGraph& plans, plan::PlanRef root,
                       const std::string& stub_name, const Options& options) {
   // Lower to the flat IR first: the generator consumes the same verified
-  // program the VM executes, so malformed plans are rejected here (typed
+  // program the engine executes, so malformed plans are rejected here (typed
   // IrError) instead of surfacing as broken C.
   planir::Program prog = planir::compile(plans, root);
   planir::require_valid(prog);

@@ -65,7 +65,7 @@ struct CStub {
 ///
 /// `img` is the base of the source's native memory image; wire bytes are
 /// written to `buf` and the byte count returned, or (size_t)-1 when a
-/// read-time range / repertoire check fails — the C analogue of the VM's
+/// read-time range / repertoire check fails — the C analogue of the engine's
 /// typed throws, raised at the same field in the same order. BlockCopy
 /// lowers to memcpy, scalar loads to bounded big-endian stores, ConstBytes
 /// to static byte arrays. Programs containing LoadOpaque or LoadEnum need

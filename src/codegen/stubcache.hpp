@@ -17,7 +17,7 @@
 // racing on one key both end up with a valid object.
 //
 // get() returns nullptr for ineligible programs, a missing toolchain, or a
-// failed compile — callers fall back to the threaded/VM tier. Failures are
+// failed compile — callers fall back to the threaded tier. Failures are
 // negatively cached per key to keep the fallback cheap.
 #pragma once
 

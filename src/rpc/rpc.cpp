@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "planir/planir.hpp"
 #include "runtime/layout.hpp"
-#include "runtime/vm.hpp"
 #include "support/error.hpp"
 
 namespace mbird::rpc {
@@ -819,31 +818,35 @@ Value call_method(Node& client, uint64_t obj_port, const Graph& g,
 
 namespace {
 
-/// Compiled programs for one PortMap node's message plan, filled lazily the
-/// first time a proxy for that node is created. `convert` serves proxies
-/// whose original port is local; `marshal` is the fused convert+encode
-/// program for remote originals. Shared (by shared_ptr) across every proxy
-/// an adapter spawns, including nested ones.
+/// Engines for one PortMap node's message plan, built lazily the first
+/// time a proxy for that node is created and reused for every message the
+/// proxy delivers (each engine verifies and pre-decodes its program once).
+/// `convert` serves proxies whose original port is local; `marshal` runs
+/// the fused convert+encode program for remote originals. Node handlers
+/// deliver on one thread, matching the engine's single-thread contract.
+/// Shared (by shared_ptr) across every proxy an adapter spawns, including
+/// nested ones.
 struct ProxyPrograms {
   struct Entry {
-    std::shared_ptr<const planir::Program> convert;
-    std::shared_ptr<const planir::Program> marshal;
-    // Specialized executor over `marshal`, built once per portmap when the
-    // engine tier is above Vm (a PlanVm per delivered message re-verifies
-    // the program every time; the engine verifies and pre-decodes once).
-    // Node handlers deliver on one thread, matching the engine's
-    // single-thread contract.
-    std::shared_ptr<const runtime::ThreadedEngine> threaded;
+    std::shared_ptr<const runtime::ThreadedEngine> convert;
+    std::shared_ptr<const runtime::ThreadedEngine> marshal;
   };
   std::map<plan::PlanRef, Entry> by_portmap;
 };
 
+// The cache is held strongly by the adapter make_port_adapter returns and
+// by every proxy handler; the engines inside it see it only weakly, so the
+// cache -> engine -> adapter chain is not an ownership cycle.
 runtime::PortAdapter adapter_with_cache(Node& node, const plan::PlanGraph& plans,
                                         const Graph& left, const Graph& right,
-                                        std::shared_ptr<ProxyPrograms> cache) {
+                                        std::weak_ptr<ProxyPrograms> weak) {
   return [&node, &plans, &left, &right,
-          cache = std::move(cache)](uint64_t src_port,
-                                    plan::PlanRef portmap_ref) -> uint64_t {
+          weak = std::move(weak)](uint64_t src_port,
+                                  plan::PlanRef portmap_ref) -> uint64_t {
+    std::shared_ptr<ProxyPrograms> cache = weak.lock();
+    if (!cache) {
+      throw ConversionError("port adapter used after its proxies were released");
+    }
     const plan::PlanNode& pm = plans.at(portmap_ref);
     const Graph& dst_graph = pm.port_dst_in_left ? left : right;
     const Graph& src_graph = pm.port_src_in_left ? left : right;
@@ -859,48 +862,28 @@ runtime::PortAdapter adapter_with_cache(Node& node, const plan::PlanGraph& plans
     // Value is never materialized.
     bool remote = !node.is_local(src_port);
     ProxyPrograms::Entry& entry = cache->by_portmap[portmap_ref];
-    if (remote && !entry.marshal) {
-      entry.marshal = std::make_shared<const planir::Program>(
-          planir::compile_marshal(plans, msg_plan, src_graph, src_msg));
-    }
-    if (!remote && !entry.convert) {
-      entry.convert = std::make_shared<const planir::Program>(
-          planir::compile(plans, msg_plan));
-    }
-    if (remote && !entry.threaded &&
-        runtime::engine_tier() != runtime::EngineTier::Vm) {
-      try {
-        entry.threaded = std::make_shared<const runtime::ThreadedEngine>(
-            entry.marshal, adapter_with_cache(node, plans, left, right, cache));
-      } catch (const planir::IrError&) {
-        // Too large to specialize: the PlanVm path below still serves it.
-      }
-    }
-    std::shared_ptr<const planir::Program> prog =
+    std::shared_ptr<const runtime::ThreadedEngine>& engine =
         remote ? entry.marshal : entry.convert;
-
-    // Conversions of those messages may themselves contain ports, so the
-    // proxy's VM carries this same adapter recursively (sharing the
-    // program cache).
+    if (!engine) {
+      // Conversions of those messages may themselves contain ports, so the
+      // engine carries this same adapter recursively (sharing the cache).
+      engine = std::make_shared<const runtime::ThreadedEngine>(
+          std::make_shared<const planir::Program>(
+              remote ? planir::compile_marshal(plans, msg_plan, src_graph,
+                                               src_msg)
+                     : planir::compile(plans, msg_plan)),
+          adapter_with_cache(node, plans, left, right, cache));
+    }
     return node.open_port(
         &dst_graph, dst_msg,
-        [&node, &plans, &left, &right, cache, src_port, src_msg, &src_graph,
-         prog = std::move(prog), engine = entry.threaded,
+        [&node, cache, src_port, src_msg, &src_graph, engine,
          remote](const Value& v) {
           if (remote) {
             std::vector<uint8_t> buf = node.buffer_pool().acquire();
-            if (engine) {
-              engine->marshal_into(v, buf);
-            } else {
-              runtime::PlanVm vm(
-                  *prog, adapter_with_cache(node, plans, left, right, cache));
-              vm.marshal_into(v, buf);
-            }
+            engine->marshal_into(v, buf);
             node.send_marshaled(src_port, std::move(buf));
           } else {
-            runtime::PlanVm vm(
-                *prog, adapter_with_cache(node, plans, left, right, cache));
-            node.send(src_port, src_graph, src_msg, vm.apply(v));
+            node.send(src_port, src_graph, src_msg, engine->apply(v));
           }
         });
   };
@@ -910,8 +893,11 @@ runtime::PortAdapter adapter_with_cache(Node& node, const plan::PlanGraph& plans
 
 runtime::PortAdapter make_port_adapter(Node& node, const plan::PlanGraph& plans,
                                        const Graph& left, const Graph& right) {
-  return adapter_with_cache(node, plans, left, right,
-                            std::make_shared<ProxyPrograms>());
+  auto cache = std::make_shared<ProxyPrograms>();
+  return [cache, inner = adapter_with_cache(node, plans, left, right, cache)](
+             uint64_t src_port, plan::PlanRef portmap_ref) {
+    return inner(src_port, portmap_ref);
+  };
 }
 
 NativeStub::NativeStub(Node& node, const plan::PlanGraph& plans,
@@ -920,30 +906,27 @@ NativeStub::NativeStub(Node& node, const plan::PlanGraph& plans,
                        std::shared_ptr<const runtime::ImageLayout> layout,
                        runtime::PortAdapter port_adapter,
                        runtime::CustomRegistry custom)
+    : NativeStub(node,
+                 std::make_shared<const planir::Program>(
+                     planir::compile_native_marshal(plans, root, dst_graph,
+                                                    dst_msg, std::move(layout))),
+                 std::move(port_adapter), std::move(custom)) {}
+
+NativeStub::NativeStub(Node& node, std::shared_ptr<const planir::Program> prog,
+                       runtime::PortAdapter port_adapter,
+                       runtime::CustomRegistry custom)
     : node_(node),
-      prog_(std::make_shared<const planir::Program>(planir::compile_native_marshal(
-          plans, root, dst_graph, dst_msg, std::move(layout)))),
-      vm_(*prog_, port_adapter, custom) {
-  // Snapshot the process tier now; degrade quietly where a tier cannot
-  // serve this program (the VM member above always can).
-  runtime::EngineTier tier = runtime::engine_tier();
-  if (tier != runtime::EngineTier::Vm) {
-    try {
-      threaded_ = std::make_unique<const runtime::ThreadedEngine>(
-          prog_, std::move(port_adapter), std::move(custom));
-    } catch (const planir::IrError&) {
-      tier = runtime::EngineTier::Vm;
-    }
-  }
-  if (tier == runtime::EngineTier::Compiled) {
+      prog_(std::move(prog)),
+      engine_(prog_, std::move(port_adapter), std::move(custom)) {
+  // Snapshot the process tier now; an ineligible program or a missing
+  // toolchain leaves the Compiled tier on the engine.
+  if (runtime::engine_tier() == runtime::EngineTier::Compiled) {
     stub_ = codegen::StubCache::process().get(*prog_);
   }
 }
 
 runtime::EngineTier NativeStub::tier() const {
-  if (stub_) return runtime::EngineTier::Compiled;
-  if (threaded_) return runtime::EngineTier::Threaded;
-  return runtime::EngineTier::Vm;
+  return stub_ ? runtime::EngineTier::Compiled : runtime::EngineTier::Threaded;
 }
 
 void NativeStub::send(uint64_t dest_port, const runtime::NativeHeap& heap,
@@ -960,15 +943,11 @@ void NativeStub::send_streaming(uint64_t dest_port,
     return;
   }
   // Compiled stubs write one contiguous output buffer, so the Compiled tier
-  // cannot stream; degrade to the threaded/vm chunked marshal (same bytes,
+  // cannot stream; degrade to the engine's chunked marshal (same bytes,
   // same fault ordering).
   node_.send_chunked(
       dest_port, [&](size_t max_piece, const runtime::PieceSink& emit) {
-        if (threaded_) {
-          threaded_->marshal_native_chunked(heap, addr, max_piece, emit);
-        } else {
-          vm_.marshal_native_chunked(heap, addr, max_piece, emit);
-        }
+        engine_.marshal_native_chunked(heap, addr, max_piece, emit);
       });
 }
 
@@ -994,15 +973,11 @@ void NativeStub::marshal_into(const runtime::NativeHeap& heap, uint64_t addr,
       return;
     }
     // The stub signals a marshaling fault without the message; re-run on
-    // the interpreter tier, which performs the same checks in the same
-    // order and throws the precise typed error.
+    // the engine, which performs the same checks in the same order and
+    // throws the precise typed error.
     out.resize(mark);
   }
-  if (threaded_) {
-    threaded_->marshal_native_into(heap, addr, out);
-    return;
-  }
-  vm_.marshal_native_into(heap, addr, out);
+  engine_.marshal_native_into(heap, addr, out);
 }
 
 }  // namespace mbird::rpc

@@ -41,7 +41,6 @@
 #include "runtime/engine.hpp"
 #include "runtime/threaded.hpp"
 #include "runtime/value.hpp"
-#include "runtime/vm.hpp"
 #include "transport/link.hpp"
 #include "wire/bufferpool.hpp"
 #include "wire/wire.hpp"
@@ -125,7 +124,7 @@ class Node {
   void send(uint64_t dest_port, const mtype::Graph& g, mtype::Ref msg_type,
             const Value& v);
 
-  /// Send pre-encoded wire bytes (e.g. from PlanVm::marshal) to a port.
+  /// Send pre-encoded wire bytes (e.g. from ThreadedEngine::marshal) to a port.
   /// Remote destinations frame the payload directly — no intermediate Value
   /// is ever built. Local destinations decode against the port's registered
   /// type and queue the Value (an unknown local port counts an
@@ -371,17 +370,22 @@ struct CallOptions {
 /// stub.
 ///
 /// The stub snapshots the process engine tier (runtime::engine_tier) at
-/// construction: Vm runs the switch PlanVm, Threaded the direct-threaded
-/// engine, Compiled a dlopen'd C stub from codegen::StubCache. Higher tiers
-/// degrade automatically — an ineligible program or missing toolchain drops
-/// Compiled to Threaded, and a compiled stub that hits a marshaling fault
-/// re-runs the image on the interpreter tier so the caller always sees the
-/// same typed error the VM would throw.
+/// construction: Threaded runs the PlanIR engine, Compiled a dlopen'd C
+/// stub from codegen::StubCache. An ineligible program or missing toolchain
+/// drops Compiled to Threaded, and a compiled stub that hits a marshaling
+/// fault re-runs the image on the engine so the caller always sees the
+/// precise typed error. A program the engine cannot specialize (over its op
+/// budget) throws planir::IrError from the constructor.
 class NativeStub {
  public:
   NativeStub(Node& node, const plan::PlanGraph& plans, plan::PlanRef root,
              const mtype::Graph& dst_graph, mtype::Ref dst_msg,
              std::shared_ptr<const runtime::ImageLayout> layout,
+             runtime::PortAdapter port_adapter = {},
+             runtime::CustomRegistry custom = {});
+  /// Stub over an already compiled native-marshal program (e.g. one held in
+  /// a program cache); verified here like the compiled one above.
+  NativeStub(Node& node, std::shared_ptr<const planir::Program> prog,
              runtime::PortAdapter port_adapter = {},
              runtime::CustomRegistry custom = {});
 
@@ -393,7 +397,7 @@ class NativeStub {
   /// Streaming variant of send(): marshal through the chunked engine path
   /// so remote sends of multi-MB images emit bounded CHUNK frames instead
   /// of staging one contiguous payload. The Compiled tier (contiguous
-  /// dlopen'd stubs) degrades to the threaded/vm chunked marshal here;
+  /// dlopen'd stubs) degrades to the engine's chunked marshal here;
   /// local destinations fall back to the plain path.
   void send_streaming(uint64_t dest_port, const runtime::NativeHeap& heap,
                       uint64_t addr);
@@ -413,20 +417,20 @@ class NativeStub {
  private:
   Node& node_;
   std::shared_ptr<const planir::Program> prog_;
-  runtime::PlanVm vm_;
-  std::unique_ptr<const runtime::ThreadedEngine> threaded_;  // non-Vm tiers
-  std::shared_ptr<const codegen::CompiledStub> stub_;        // Compiled tier
+  runtime::ThreadedEngine engine_;
+  std::shared_ptr<const codegen::CompiledStub> stub_;  // Compiled tier
 };
 
-/// A PortAdapter for runtime::Converter/PlanVm that realizes PortMap ops as
-/// converting proxy ports on `node`. `left`/`right` are the two graphs the
-/// plan's port_*_in_left flags refer to (the comparison's first and second
-/// graphs). Message plans are lowered to PlanIR once per PortMap node and
-/// cached for the adapter's lifetime; proxies forwarding to a remote port
-/// use the fused convert+marshal program, so dst-shaped messages become
-/// src-shaped wire bytes without materializing the converted Value. The
-/// adapter owns only its program cache; all referenced objects must outlive
-/// the converted values.
+/// A PortAdapter for runtime::Converter/ThreadedEngine that realizes PortMap
+/// ops as converting proxy ports on `node`. `left`/`right` are the two
+/// graphs the plan's port_*_in_left flags refer to (the comparison's first
+/// and second graphs). Message plans are lowered to PlanIR and built into
+/// one engine per PortMap node, cached while the adapter or any of its
+/// proxies lives; proxies forwarding to a remote port use the fused
+/// convert+marshal program, so dst-shaped messages become src-shaped wire
+/// bytes without materializing the converted Value. The adapter owns only
+/// its engine cache; all referenced objects must outlive the converted
+/// values.
 [[nodiscard]] runtime::PortAdapter make_port_adapter(
     Node& node, const plan::PlanGraph& plans, const mtype::Graph& left,
     const mtype::Graph& right);

@@ -15,9 +15,7 @@ void set_engine_tier(EngineTier tier) {
 }
 
 bool parse_engine_tier(std::string_view name, EngineTier* out) {
-  if (name == "vm") {
-    *out = EngineTier::Vm;
-  } else if (name == "threaded") {
+  if (name == "threaded") {
     *out = EngineTier::Threaded;
   } else if (name == "compiled") {
     *out = EngineTier::Compiled;
@@ -29,7 +27,6 @@ bool parse_engine_tier(std::string_view name, EngineTier* out) {
 
 const char* to_string(EngineTier tier) {
   switch (tier) {
-    case EngineTier::Vm: return "vm";
     case EngineTier::Threaded: return "threaded";
     case EngineTier::Compiled: return "compiled";
   }

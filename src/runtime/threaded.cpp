@@ -2,10 +2,12 @@
 
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "runtime/exec_detail.hpp"
 #include "runtime/layout.hpp"
 #include "support/error.hpp"
 #include "wire/wire.hpp"
@@ -31,9 +33,314 @@ using planir::IrFault;
 using planir::OpCode;
 using planir::Program;
 
+// ---- shared executor helpers ------------------------------------------------
+//
+// The path walks, choice dispatch, list chain materialization, custom lookup
+// and the convert-mode interpreter below must agree bit-for-bit with the
+// tree Converter on results AND on typed error messages — the differential
+// suites compare them verbatim.
+namespace exec {
+
+/// Filled by dispatch_choice when the caller wants to memoize the taken
+/// label path (the choice inline caches). `pure` stays true only when the
+/// walk unwrapped plain Choice layers — no canonical list re-encode, depth
+/// within the cacheable bound — so a later value whose leading labels equal
+/// `labels[0..n)` provably dispatches to the same arm with the same payload
+/// position.
+struct IcRecord {
+  static constexpr uint32_t kMaxDepth = 8;
+  uint32_t labels[kMaxDepth] = {};
+  uint8_t n = 0;
+  bool pure = true;
+};
+
+/// Segmentation state threaded through the marshal executors in chunked
+/// mode: the executor writes into a scratch buffer and drain() ships
+/// exactly-`max`-byte prefixes out through `emit`, keeping the resident
+/// buffer bounded by one piece plus the largest single write (big writes
+/// are themselves sliced to `max`).
+struct StreamCtl {
+  size_t max;
+  const PieceSink* emit;
+  /// Emit exactly-max pieces from buf[0..len), move the tail down to
+  /// offset 0, and return the new tail length.
+  size_t drain(std::vector<uint8_t>& buf, size_t len) const;
+};
+
+/// Identical to the tree interpreter's path walk (same error text — the
+/// differential suite compares messages verbatim).
+const Value& follow(const Value& v, const uint32_t* path, uint32_t len) {
+  const Value* cur = &v;
+  for (uint32_t k = 0; k < len; ++k) {
+    if (cur->kind() != Value::Kind::Record) {
+      throw ConversionError("plan path descends into a non-record value: " +
+                            cur->to_string());
+    }
+    cur = &cur->at(path[k]);
+  }
+  return *cur;
+}
+
+/// Trie walk over the source arm labels. Mirrors Converter::eval_choice:
+/// match the shortest arm prefix, re-encode List values as nil/cons chains
+/// on the way, and on a dead end keep unwrapping the value (no arm can
+/// match anymore) until a non-choice proves the mismatch — so the error
+/// fires on exactly the same inputs with exactly the same message.
+/// Returns the global arm index; `*payload` is where the arm's op reads.
+uint32_t dispatch_choice(const Program& prog, const Program::ChoiceTab& ct,
+                         const Value& in, const Value** payload,
+                         std::deque<Value>& chains, IcRecord* rec = nullptr) {
+  const Value* cur = &in;
+  const Program::TrieNode* node = &prog.trie[ct.trie_root];
+  for (;;) {
+    if (node && node->terminal >= 0) {
+      *payload = cur;
+      return ct.arms_off + static_cast<uint32_t>(node->terminal);
+    }
+    if (cur->kind() == Value::Kind::List) {
+      // nil = arm 0, cons = arm 1 in the canonical list encoding.
+      if (rec) rec->pure = false;
+      chains.push_back(Value::chain_from_list(cur->children(), 0, 1));
+      cur = &chains.back();
+      continue;
+    }
+    if (cur->kind() != Value::Kind::Choice) {
+      throw ConversionError("no plan arm for value " + in.to_string());
+    }
+    if (node) {
+      uint32_t label = cur->arm();
+      if (rec) {
+        if (rec->n < IcRecord::kMaxDepth) {
+          rec->labels[rec->n++] = label;
+        } else {
+          rec->pure = false;
+        }
+      }
+      const Program::TrieNode& tn = *node;
+      node = nullptr;
+      if (label < tn.kids_len) {
+        int32_t kid = prog.trie_kids[tn.kids_off + label];
+        if (kid >= 0) node = &prog.trie[static_cast<uint32_t>(kid)];
+      }
+    }
+    cur = &cur->inner();
+  }
+}
+
+/// Resolve a MapList/EmitList input to its element vector without copying
+/// when it's already a List; chains are materialized into `lists` (a deque,
+/// so earlier element pointers stay valid).
+const std::vector<Value>& list_elems(const Value& v,
+                                     std::deque<std::vector<Value>>& lists) {
+  if (v.kind() == Value::Kind::List) return v.children();
+  auto lst = v.as_list();
+  if (!lst) {
+    throw ConversionError("expected a list-shaped value, got " + v.to_string());
+  }
+  lists.push_back(std::move(*lst));
+  return lists.back();
+}
+
+const std::function<Value(const Value&)>& find_custom(
+    const CustomRegistry& customs, const std::string& name) {
+  auto it = customs.find(name);
+  if (it == customs.end()) {
+    throw ConversionError("no hand-written converter registered for '" + name +
+                          "'");
+  }
+  return it->second;
+}
+
+// All input pointers reference the caller's value tree or the scratch
+// deques — never the result stack — so growing `vals` cannot invalidate
+// pending work.
+Value run_convert(const Program& prog, uint32_t entry, const Value& in,
+                  const PortAdapter& adapter, const CustomRegistry& customs) {
+  struct Work {
+    enum class K : uint8_t { Eval, EvalField, FinishRecord, WrapChoice, FinishList };
+    K k;
+    uint32_t a = 0;
+    uint32_t b = 0;
+    const Value* in = nullptr;
+  };
+  std::vector<Work> work;
+  std::vector<Value> vals;
+  std::vector<Value> rpn;
+  std::deque<Value> chains;
+  std::deque<std::vector<Value>> lists;
+  work.push_back({Work::K::Eval, entry, 0, &in});
+  while (!work.empty()) {
+    Work w = work.back();
+    work.pop_back();
+    switch (w.k) {
+      case Work::K::Eval: {
+        const planir::Instr& ins = prog.code[w.a];
+        const Value& v = *w.in;
+        switch (ins.op) {
+          case OpCode::MakeUnit: vals.push_back(Value::unit()); break;
+          case OpCode::CopyInt: {
+            Int128 x = v.as_int();
+            if (x < ins.lo || x > ins.hi) {
+              throw ConversionError("integer " + to_string(x) +
+                                    " outside target range [" +
+                                    to_string(ins.lo) + ".." +
+                                    to_string(ins.hi) + "]");
+            }
+            vals.push_back(v);
+            break;
+          }
+          case OpCode::CopyReal: vals.push_back(Value::real(v.as_real())); break;
+          case OpCode::CopyChar:
+            vals.push_back(Value::character(v.as_char()));
+            break;
+          case OpCode::CopyPort: {
+            uint64_t id = v.as_port();
+            if (adapter) id = adapter(id, ins.a);
+            vals.push_back(Value::port(id));
+            break;
+          }
+          case OpCode::BuildRecord: {
+            const Program::RecordTab& rt = prog.records[ins.a];
+            work.push_back(
+                {Work::K::FinishRecord, ins.a,
+                 static_cast<uint32_t>(vals.size()), nullptr});
+            for (uint32_t k = rt.fields_len; k-- > 0;) {
+              work.push_back({Work::K::EvalField, rt.fields_off + k, 0, w.in});
+            }
+            break;
+          }
+          case OpCode::MatchChoice: {
+            const Value* payload = nullptr;
+            uint32_t arm =
+                dispatch_choice(prog, prog.choices[ins.a], v, &payload, chains);
+            work.push_back({Work::K::WrapChoice, arm, 0, nullptr});
+            work.push_back({Work::K::Eval, prog.arms[arm].op, 0, payload});
+            break;
+          }
+          case OpCode::MapList: {
+            const std::vector<Value>& elems = list_elems(v, lists);
+            work.push_back({Work::K::FinishList,
+                            static_cast<uint32_t>(elems.size()),
+                            static_cast<uint32_t>(vals.size()), nullptr});
+            for (size_t k = elems.size(); k-- > 0;) {
+              work.push_back({Work::K::Eval, ins.a, 0, &elems[k]});
+            }
+            break;
+          }
+          case OpCode::ExtractField:
+            work.push_back({Work::K::EvalField, ins.a, 0, w.in});
+            break;
+          case OpCode::CallCustom:
+            vals.push_back(find_custom(customs, prog.custom_names[ins.a])(v));
+            break;
+          default:
+            throw IrError(IrFault::BadOpcode,
+                          std::string("convert VM hit ") + to_string(ins.op));
+        }
+        break;
+      }
+      case Work::K::EvalField: {
+        const Program::Field& f = prog.fields[w.a];
+        const Value& src =
+            follow(*w.in, prog.path_pool.data() + f.src_off, f.src_len);
+        work.push_back({Work::K::Eval, f.op, 0, &src});
+        break;
+      }
+      case Work::K::FinishRecord: {
+        // Reassemble the skeleton from the field results at vals[b..]:
+        // leaf k is field k (verified invariant), so postfix evaluation
+        // moves each result exactly once.
+        const Program::RecordTab& rt = prog.records[w.a];
+        if (rt.shape_len == rt.fields_len + 1 &&
+            prog.shape_pool[rt.shape_off + rt.fields_len].kind ==
+                Program::ShapeTok::K::Rec) {
+          // Flat skeleton (every leaf in order under one record): build the
+          // result straight from the field results, no postfix stack.
+          std::vector<Value> kids;
+          kids.reserve(rt.fields_len);
+          kids.insert(kids.end(),
+                      std::make_move_iterator(vals.begin() +
+                                              static_cast<long>(w.b)),
+                      std::make_move_iterator(vals.end()));
+          vals.resize(w.b);
+          vals.push_back(Value::record(std::move(kids)));
+          break;
+        }
+        for (uint32_t k = 0; k < rt.shape_len; ++k) {
+          const Program::ShapeTok& tok = prog.shape_pool[rt.shape_off + k];
+          switch (tok.kind) {
+            case Program::ShapeTok::K::Leaf:
+              rpn.push_back(std::move(vals[w.b + tok.arg]));
+              break;
+            case Program::ShapeTok::K::Unit:
+              rpn.push_back(Value::unit());
+              break;
+            case Program::ShapeTok::K::Rec: {
+              std::vector<Value> kids;
+              kids.reserve(tok.arg);
+              kids.insert(kids.end(),
+                          std::make_move_iterator(rpn.end() - tok.arg),
+                          std::make_move_iterator(rpn.end()));
+              rpn.resize(rpn.size() - tok.arg);
+              rpn.push_back(Value::record(std::move(kids)));
+              break;
+            }
+          }
+        }
+        vals.resize(w.b);
+        vals.push_back(std::move(rpn.back()));
+        rpn.clear();
+        break;
+      }
+      case Work::K::WrapChoice: {
+        // Wrap in the nested target choice structure, innermost-out.
+        const Program::Arm& arm = prog.arms[w.a];
+        Value v = std::move(vals.back());
+        for (uint32_t k = arm.dst_len; k-- > 0;) {
+          v = Value::choice(prog.path_pool[arm.dst_off + k], std::move(v));
+        }
+        vals.back() = std::move(v);
+        break;
+      }
+      case Work::K::FinishList: {
+        std::vector<Value> out;
+        out.reserve(w.a);
+        out.insert(out.end(), std::make_move_iterator(vals.begin() + w.b),
+                   std::make_move_iterator(vals.end()));
+        vals.resize(w.b);
+        vals.push_back(Value::list(std::move(out)));
+        break;
+      }
+    }
+  }
+  return std::move(vals.back());
+}
+
+size_t StreamCtl::drain(std::vector<uint8_t>& buf, size_t len) const {
+  size_t pos = 0;
+  while (len - pos >= max) {
+    (*emit)(std::vector<uint8_t>(buf.begin() + static_cast<long>(pos),
+                                 buf.begin() + static_cast<long>(pos + max)),
+            false);
+    pos += max;
+  }
+  if (pos != 0) {
+    std::memmove(buf.data(), buf.data() + pos, len - pos);
+    len -= pos;
+  }
+  return len;
+}
+
+}  // namespace exec
+
 namespace {
 
+// Per-run instruments are gated behind obs::metrics_on(); `builds` (one
+// add per engine construction) is always live.
 struct TeMetrics {
+  obs::Counter& builds = obs::counter("planvm.threaded.builds");
+  obs::Counter& converts = obs::counter("planvm.threaded.converts");
+  obs::Histogram& convert_ns = obs::histogram("planvm.threaded.convert_ns");
   obs::Counter& marshals = obs::counter("planvm.threaded.marshals");
   obs::Counter& marshals_native = obs::counter("planvm.threaded.marshals_native");
   obs::Histogram& marshal_ns = obs::histogram("planvm.threaded.marshal_ns");
@@ -189,12 +496,12 @@ struct ThreadedEngine::CheckItem {
 //
 // Flattens the instruction graph into a linear stream. Records and extracts
 // inline with fused (concatenated) source paths — follow() composes, so
-// follow(follow(v, p1), p2) walks, errs, and results exactly like the VM's
-// two-step EmitField chain. Each instruction may inline a bounded number of
+// follow(follow(v, p1), p2) walks, errs, and results exactly like the
+// program's two-step EmitField chain. Each instruction may inline a bounded number of
 // times (and to a bounded C++ build depth); past that it becomes a shared
 // segment invoked via MCallSeg, which keeps the stream linear in the
 // program size and makes verified guarded cycles terminate at run time just
-// as they do on the VM's work stack. Lists and choice arms always run as
+// as they do in the tree Converter. Lists and choice arms always run as
 // segments; one MReturn op serves segment calls and list-element iteration
 // through a unified frame.
 struct ThreadedEngine::MarshalBuild {
@@ -248,8 +555,8 @@ struct ThreadedEngine::MarshalBuild {
     const planir::Instr& ins = p.code[idx];
     switch (ins.op) {
       case OpCode::EmitNothing:
-        // The VM still walks the field path before doing nothing; keep the
-        // walk (and its possible error) with a path-only op.
+        // The Converter still walks the field path before doing nothing;
+        // keep the walk (and its possible error) with a path-only op.
         if (!prefix.empty()) set_path(push(TOp::MUnit), prefix);
         break;
       case OpCode::EmitInt: {
@@ -381,8 +688,8 @@ void ThreadedEngine::build_native() {
   size_t total = 0;
   bool dynamic = false;
   size_t steps = 0;
-  // Same work-stack walk as the VM's run_native, but emitting ops instead
-  // of bytes — the flat stream is the VM's execution order by construction.
+  // Pre-order work-stack walk of the NativeSeq tree: the flat stream is the
+  // read_image field order by construction.
   std::vector<uint32_t> work{p.entry};
   while (!work.empty()) {
     if (++steps > MarshalBuild::kMaxOps) {
@@ -506,7 +813,8 @@ void ThreadedEngine::build_native() {
 // fields at consecutive offsets, which become 16-lane compare blocks over
 // per-byte [lo, hi] pools. The lowering is order-preserving (pre-order),
 // and a run whose block fails is re-run through the scalar path, so the
-// first fault is always the same node with the same message as the VM.
+// first fault is always the same node with the same message as the
+// check_image_ranges prologue that read_image runs.
 void ThreadedEngine::build_native_checks() {
   constexpr uint32_t kMinRun = 16;
   const ImageLayout& il = *prog_->src_layout;
@@ -603,7 +911,7 @@ void ThreadedEngine::run_checks(const NativeHeap& heap, uint64_t base) const {
 #endif
     if (bad) {
       // A lane failed somewhere in [i-16, i): re-run the whole run scalar
-      // in pre-order so the throw is the VM's, on the VM's first node.
+      // in pre-order so the throw is the scalar path's, on its first node.
       ++stats_.simd_rescans;
       i = 0;
     }
@@ -1026,6 +1334,12 @@ void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
 
 // ---- public surface ---------------------------------------------------------
 
+namespace {
+void require_mode(const Program& p, Program::Mode mode, const char* what) {
+  if (p.mode != mode) throw IrError(IrFault::ModeMismatch, what);
+}
+}  // namespace
+
 ThreadedEngine::ThreadedEngine(std::shared_ptr<const planir::Program> prog,
                                PortAdapter port_adapter, CustomRegistry custom)
     : prog_(std::move(prog)), adapter_(std::move(port_adapter)),
@@ -1035,14 +1349,19 @@ ThreadedEngine::ThreadedEngine(std::shared_ptr<const planir::Program> prog,
   }
   planir::require_valid(*prog_);
   switch (prog_->mode) {
-    case Program::Mode::Marshal: build_marshal(); break;
-    case Program::Mode::NativeMarshal: build_native(); break;
-    default:
-      throw IrError(IrFault::ModeMismatch,
-                    "threaded engine executes marshal or native-marshal "
-                    "programs (convert stays on the tree/VM path)");
+    // Convert mode has no op stream: apply() interprets the verified
+    // program directly.
+    case Program::Mode::Convert: break;
+    case Program::Mode::Marshal:
+      build_marshal();
+      bind_labels();
+      break;
+    case Program::Mode::NativeMarshal:
+      build_native();
+      bind_labels();
+      break;
   }
-  bind_labels();
+  te_metrics().builds.add();
 }
 
 ThreadedEngine::ThreadedEngine(const planir::Program& prog,
@@ -1065,6 +1384,15 @@ void ThreadedEngine::bind_labels() {
   for (Op& op : ops_) op.label = table[static_cast<uint16_t>(op.code)];
 }
 
+Value ThreadedEngine::apply(const Value& in) const {
+  require_mode(*prog_, Program::Mode::Convert,
+               "apply() needs a convert program");
+  obs::ScopedTimer timer(te_metrics().convert_ns);
+  if (obs::metrics_on()) te_metrics().converts.add();
+  ++stats_.runs;
+  return exec::run_convert(*prog_, prog_->entry, in, adapter_, customs_);
+}
+
 std::vector<uint8_t> ThreadedEngine::marshal(const Value& in) const {
   std::vector<uint8_t> out;
   marshal_into(in, out);
@@ -1073,9 +1401,8 @@ std::vector<uint8_t> ThreadedEngine::marshal(const Value& in) const {
 
 void ThreadedEngine::marshal_into(const Value& in,
                                   std::vector<uint8_t>& out) const {
-  if (prog_->mode != Program::Mode::Marshal) {
-    throw IrError(IrFault::ModeMismatch, "marshal() needs a marshal program");
-  }
+  require_mode(*prog_, Program::Mode::Marshal,
+               "marshal() needs a marshal program");
   obs::ScopedTimer timer(te_metrics().marshal_ns);
   if (obs::metrics_on()) te_metrics().marshals.add();
   ++stats_.runs;
@@ -1097,10 +1424,8 @@ std::vector<uint8_t> ThreadedEngine::marshal_native(const NativeHeap& heap,
 
 void ThreadedEngine::marshal_native_into(const NativeHeap& heap, uint64_t addr,
                                          std::vector<uint8_t>& out) const {
-  if (prog_->mode != Program::Mode::NativeMarshal) {
-    throw IrError(IrFault::ModeMismatch,
-                  "marshal_native() needs a native-marshal program");
-  }
+  require_mode(*prog_, Program::Mode::NativeMarshal,
+               "marshal_native() needs a native-marshal program");
   obs::ScopedTimer timer(te_metrics().marshal_native_ns);
   if (obs::metrics_on()) te_metrics().marshals_native.add();
   ++stats_.runs;
@@ -1115,9 +1440,8 @@ void ThreadedEngine::marshal_native_into(const NativeHeap& heap, uint64_t addr,
 
 void ThreadedEngine::marshal_chunked(const Value& in, size_t max_piece,
                                      const PieceSink& emit) const {
-  if (prog_->mode != Program::Mode::Marshal) {
-    throw IrError(IrFault::ModeMismatch, "marshal() needs a marshal program");
-  }
+  require_mode(*prog_, Program::Mode::Marshal,
+               "marshal() needs a marshal program");
   if (max_piece == 0) {
     throw IrError(IrFault::BadEntry, "piece size must be positive");
   }
@@ -1134,10 +1458,8 @@ void ThreadedEngine::marshal_chunked(const Value& in, size_t max_piece,
 void ThreadedEngine::marshal_native_chunked(const NativeHeap& heap,
                                             uint64_t addr, size_t max_piece,
                                             const PieceSink& emit) const {
-  if (prog_->mode != Program::Mode::NativeMarshal) {
-    throw IrError(IrFault::ModeMismatch,
-                  "marshal_native() needs a native-marshal program");
-  }
+  require_mode(*prog_, Program::Mode::NativeMarshal,
+               "marshal_native() needs a native-marshal program");
   if (max_piece == 0) {
     throw IrError(IrFault::BadEntry, "piece size must be positive");
   }

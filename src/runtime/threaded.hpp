@@ -1,8 +1,12 @@
-// The direct-threaded PlanIR execution engine (DESIGN.md §4j, tier 2 of
-// the vm → threaded → compiled progression).
+// The PlanIR execution engine (DESIGN.md §4e, §4j): the one executor of
+// verified planir::Programs in every mode.
 //
-// A ThreadedEngine specializes one verified marshal- or native-marshal-mode
-// program at construction time into a flat, pre-decoded op stream:
+// Convert-mode programs run through a non-recursive work-stack interpreter
+// (conversion depth is bounded by memory, not the C++ stack) that
+// reproduces runtime::Converter exactly — same values, same typed errors.
+//
+// A marshal- or native-marshal-mode program is specialized at construction
+// time into a flat, pre-decoded op stream:
 //
 //   * static structure is flattened away — record nesting and field-path
 //     walks become ops with fused paths (no per-op work-stack traffic, no
@@ -11,23 +15,22 @@
 //     fully static output sizes get a single exact resize with unchecked
 //     stores;
 //   * dynamic constructs (lists, choices, recursion back-edges) run on an
-//     explicit frame stack, so conversion depth stays bounded by memory,
-//     exactly like the switch VM;
+//     explicit frame stack, so conversion depth stays bounded by memory;
 //   * each choice site gets an inline cache memoizing the last taken label
 //     path (see exec::IcRecord for the validity argument);
 //   * the native-marshal range prologue is vectorized: contiguous runs of
 //     annotated byte-wide fields are checked 16 lanes at a time (SSE2 /
-//     NEON); a failing run is re-run through the scalar path so every tier
-//     throws the same error at the same field; and
+//     NEON); a failing run is re-run through the scalar path so the engine
+//     throws the same error at the same field as read_image; and
 //   * dispatch uses computed goto (GNU label values) where available; other
 //     compilers get a portable switch loop over the same op stream
 //     (computed_goto() reports which one this build uses).
 //
-// Output bytes and fault ordering are identical to PlanVm by construction
-// (shared helpers in exec_detail.hpp) and by test (the differential
-// suites). Engines carry mutable per-site caches and are therefore NOT
-// shareable across threads — each thread builds its own engine over the
-// shared verified Program.
+// Output bytes and fault ordering match the reference semantics — the tree
+// Converter plus wire::encode, fed by read_image for native programs — and
+// the differential suites hold the engine to it. Engines carry mutable
+// per-site caches and are therefore NOT shareable across threads — each
+// thread builds its own engine over the shared verified Program.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +68,8 @@ class ThreadedEngine {
   };
 
   /// Verifies the program (planir::require_valid) and specializes it.
-  /// Throws planir::IrError on malformed IR, convert-mode programs, or
-  /// programs too large to flatten.
+  /// Throws planir::IrError on malformed IR or on marshal programs whose
+  /// flattened op stream exceeds the op budget.
   explicit ThreadedEngine(std::shared_ptr<const planir::Program> prog,
                           PortAdapter port_adapter = {},
                           CustomRegistry custom = {});
@@ -78,22 +81,37 @@ class ThreadedEngine {
   ThreadedEngine(const ThreadedEngine&) = delete;
   ThreadedEngine& operator=(const ThreadedEngine&) = delete;
 
-  /// Marshal-mode execution; same contract as PlanVm::marshal /
-  /// marshal_into (trim-on-throw included).
+  /// Convert-mode execution. Throws ConversionError exactly like
+  /// Converter::apply; throws planir::IrError(ModeMismatch) unless the
+  /// program is convert-mode.
+  [[nodiscard]] Value apply(const Value& in) const;
+
+  /// Marshal-mode execution: wire bytes for the converted value. Throws
+  /// ConversionError/WireError as the unfused convert-then-encode pipeline
+  /// would; throws planir::IrError(ModeMismatch) unless the program is
+  /// marshal-mode. marshal_into appends to `out` (which the caller
+  /// typically recycles through a wire::BufferPool) and trims the partial
+  /// bytes if marshaling throws.
   [[nodiscard]] std::vector<uint8_t> marshal(const Value& in) const;
   void marshal_into(const Value& in, std::vector<uint8_t>& out) const;
 
-  /// Native-marshal execution; same contract as PlanVm::marshal_native /
-  /// marshal_native_into.
+  /// Native-marshal execution: wire bytes straight from the native image at
+  /// `addr`, no Value construction. Before emitting anything it replays
+  /// every read-time check over the image (annotated integer ranges, enum
+  /// membership, in read order), so it throws on exactly the inputs the
+  /// read-native -> convert -> encode pipeline throws on. Same ModeMismatch
+  /// and trim-on-throw contract as marshal / marshal_into.
   [[nodiscard]] std::vector<uint8_t> marshal_native(const NativeHeap& heap,
                                                     uint64_t addr) const;
   void marshal_native_into(const NativeHeap& heap, uint64_t addr,
                            std::vector<uint8_t>& out) const;
 
-  /// Chunked (streaming) marshal; same contract as PlanVm::marshal_chunked:
-  /// bounded pieces through `emit`, concatenation byte-identical to
-  /// marshal(), O(max_piece) resident buffering (the static-size exact
-  /// resize fast path is bypassed in this mode).
+  /// Chunked (streaming) marshal: bounded pieces through `emit` (see
+  /// PieceSink for the piece-size/last contract), concatenation
+  /// byte-identical to marshal(), O(max_piece) resident buffering (the
+  /// static-size exact resize fast path is bypassed in this mode). If
+  /// marshaling throws after pieces were emitted, no final piece arrives —
+  /// the caller aborts its stream.
   void marshal_chunked(const Value& in, size_t max_piece,
                        const PieceSink& emit) const;
   void marshal_native_chunked(const NativeHeap& heap, uint64_t addr,

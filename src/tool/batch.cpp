@@ -142,7 +142,7 @@ int run_batch(std::vector<stype::Module>& modules, std::istream& manifest,
               const BatchOptions& options, std::ostream& out,
               std::ostream& err) {
   // Batch reports always embed a metrics snapshot, so the timed tier
-  // (histograms, VM op counts) is on for the whole run.
+  // (histograms, engine run counts) is on for the whole run.
   obs::set_metrics_on(true);
   const obs::Registry::Snapshot snap0 = obs::Registry::global().snapshot();
 

@@ -165,7 +165,7 @@ bool load_source(Session& s, Lang lang, const std::string& path,
 
 int usage(std::ostream& err) {
   err << "usage: mbird [--trace <out.json>] [--metrics <out.json>]\n"
-         "             [--diag-format=text|json] [--engine=vm|threaded|compiled]\n"
+         "             [--diag-format=text|json] [--engine=threaded|compiled]\n"
          "             [--c|--java|--idl|--classfile|--project <file>]...\n"
          "             [--script <file>] [--annotate '<stmts>']\n"
          "             <list|show|mtype|diagram|compare|plan|gen|batch|serve|stats|top|save> ...\n"
@@ -219,10 +219,10 @@ int usage(std::ostream& err) {
          "                             trace-event JSON (chrome://tracing)\n"
          "  --metrics <out.json>       write the metrics registry snapshot\n"
          "  --diag-format=text|json    diagnostics as text or JSON lines\n"
-         "  --engine=vm|threaded|compiled\n"
-         "                             marshal execution tier: switch-loop VM,\n"
-         "                             direct-threaded engine (default), or\n"
-         "                             dlopen'd compiled stubs where eligible\n";
+         "  --engine=threaded|compiled\n"
+         "                             marshal execution tier: the PlanIR\n"
+         "                             engine (default), or dlopen'd compiled\n"
+         "                             stubs where eligible\n";
   return 2;
 }
 
@@ -758,7 +758,7 @@ int run_command(const std::vector<std::string>& args, bool json_diags,
       return 1;
     }
     if (cmd == "plan") {
-      // `plan A B --emit-ir` dumps the flat PlanIR the runtime VM and the
+      // `plan A B --emit-ir` dumps the flat PlanIR the runtime engine and the
       // stub generator actually execute, instead of the plan tree.
       // `--emit-ir=native` fuses the plan with A's native memory layout and
       // dumps the zero-copy marshal program (Load*/BlockCopy over the image).
@@ -1103,7 +1103,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   if (!engine.empty()) {
     runtime::EngineTier tier;
     if (!runtime::parse_engine_tier(engine, &tier)) {
-      err << "mbird: --engine expects 'vm', 'threaded' or 'compiled', got '"
+      err << "mbird: --engine expects 'threaded' or 'compiled', got '"
           << engine << "'\n";
       return usage(err);
     }

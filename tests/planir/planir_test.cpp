@@ -9,7 +9,7 @@
 #include "compare/compare.hpp"
 #include "planir/planir.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/vm.hpp"
+#include "runtime/threaded.hpp"
 
 namespace mbird {
 namespace {
@@ -240,7 +240,7 @@ TEST(PlanIr, VerifyPathsFlagsBadRecordPath) {
   EXPECT_EQ(issues[0].fault, IrFault::BadPath);
 }
 
-TEST(PlanIr, RequireValidThrowsTypedErrorAndVmRefusesIt) {
+TEST(PlanIr, RequireValidThrowsTypedErrorAndEngineRefusesIt) {
   Built s = record_pair();
   Program p = planir::compile(s.plan, s.root);
   p.code[p.entry].a = 4242;
@@ -251,7 +251,7 @@ TEST(PlanIr, RequireValidThrowsTypedErrorAndVmRefusesIt) {
     EXPECT_EQ(e.fault(), IrFault::OperandRange);
     EXPECT_NE(std::string(e.what()).find("planir:"), std::string::npos);
   }
-  EXPECT_THROW(runtime::PlanVm vm(p), planir::IrError);
+  EXPECT_THROW(runtime::ThreadedEngine engine(p), planir::IrError);
 }
 
 TEST(PlanIr, CustomOpsAreInternedAndDispatched) {
@@ -271,25 +271,27 @@ TEST(PlanIr, CustomOpsAreInternedAndDispatched) {
   reg["double_it"] = [](const Value& v) {
     return Value::integer(v.as_int() * 2);
   };
-  runtime::PlanVm vm(p, {}, reg);
-  EXPECT_EQ(vm.apply(Value::integer(21)), Value::integer(42));
+  runtime::ThreadedEngine engine(p, {}, reg);
+  EXPECT_EQ(engine.apply(Value::integer(21)),
+            runtime::Converter(pg, {}, reg).apply(c, Value::integer(21)));
+  EXPECT_EQ(engine.apply(Value::integer(21)), Value::integer(42));
 
   // Unregistered name: same typed error text as the tree interpreter.
-  runtime::PlanVm bare(p);
+  runtime::ThreadedEngine bare(p);
   runtime::Converter oracle(pg);
-  std::string vm_err, tree_err;
+  std::string engine_err, tree_err;
   try {
     (void)bare.apply(Value::integer(1));
   } catch (const ConversionError& e) {
-    vm_err = e.what();
+    engine_err = e.what();
   }
   try {
     (void)oracle.apply(c, Value::integer(1));
   } catch (const ConversionError& e) {
     tree_err = e.what();
   }
-  EXPECT_FALSE(vm_err.empty());
-  EXPECT_EQ(vm_err, tree_err);
+  EXPECT_FALSE(engine_err.empty());
+  EXPECT_EQ(engine_err, tree_err);
   (void)a;
 }
 
@@ -308,8 +310,8 @@ TEST(PlanIr, MarshalProgramsCarryFallbackAndVerify) {
   // Mode confusion is typed: a convert program refuses marshal() and a
   // marshal opcode is rejected inside a convert program.
   Program conv = planir::compile(s.plan, s.root);
-  runtime::PlanVm vm(conv);
-  EXPECT_THROW((void)vm.marshal(Value::list({})), planir::IrError);
+  runtime::ThreadedEngine engine(conv);
+  EXPECT_THROW((void)engine.marshal(Value::list({})), planir::IrError);
 
   Program confused = conv;
   confused.code[confused.entry].op = OpCode::EmitList;

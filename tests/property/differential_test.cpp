@@ -1,5 +1,5 @@
-// Differential suite: the PlanIR bytecode VM (runtime::PlanVm) against the
-// tree-walking Converter oracle.
+// Differential suite: the PlanIR engine (runtime::ThreadedEngine) against
+// the tree-walking Converter oracle.
 //
 // For randomized Mtype pairs — records, nested choices, ListMap chains,
 // canonical lists, and general recursive types (whose plans the comparer
@@ -23,7 +23,7 @@
 #include "planir/planir.hpp"
 #include "runtime/conform.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/vm.hpp"
+#include "runtime/threaded.hpp"
 #include "support/rng.hpp"
 #include "wire/wire.hpp"
 
@@ -35,7 +35,7 @@ using mtype::MKind;
 using mtype::Ref;
 using runtime::Value;
 
-/// Random Mtypes weighted toward the shapes the VM dispatches on: records,
+/// Random Mtypes weighted toward the shapes the engine dispatches on: records,
 /// nested choices (multi-level tries), canonical lists, and occasionally
 /// general (non-list) recursion.
 Ref random_type(Graph& g, Rng& rng, int depth) {
@@ -178,7 +178,7 @@ Case make_case(uint64_t seed) {
 
 class Differential : public testing::TestWithParam<uint64_t> {};
 
-TEST_P(Differential, VmMatchesTreeOracle) {
+TEST_P(Differential, EngineMatchesTreeOracle) {
   Case c = make_case(GetParam());
   if (c.root == plan::kNullPlan) GTEST_SKIP();
 
@@ -189,17 +189,17 @@ TEST_P(Differential, VmMatchesTreeOracle) {
   ASSERT_TRUE(path_issues.empty()) << path_issues[0].to_string();
 
   runtime::Converter oracle(c.plan);
-  runtime::PlanVm vm(prog);
+  runtime::ThreadedEngine engine(prog);
 
   // Conforming values: identical results (or identical typed errors — a
   // conforming value can still trip, e.g., nothing; but keep the check).
   for (uint64_t vs = 0; vs < 48; ++vs) {
     Value v = runtime::random_value(c.ga, c.a, GetParam() * 1009 + vs);
     Outcome t = run([&] { return oracle.apply(c.root, v); });
-    Outcome m = run([&] { return vm.apply(v); });
+    Outcome m = run([&] { return engine.apply(v); });
     ASSERT_EQ(t.ok, m.ok) << "seed " << GetParam() << " value " << v.to_string()
-                          << "\n  tree: " << (t.ok ? t.val.to_string() : t.error)
-                          << "\n  vm:   " << (m.ok ? m.val.to_string() : m.error);
+                          << "\n  tree:   " << (t.ok ? t.val.to_string() : t.error)
+                          << "\n  engine: " << (m.ok ? m.val.to_string() : m.error);
     if (t.ok) {
       EXPECT_EQ(t.val, m.val) << "seed " << GetParam() << " value "
                               << v.to_string();
@@ -217,11 +217,11 @@ TEST_P(Differential, VmMatchesTreeOracle) {
   for (uint64_t vs = 0; vs < 16; ++vs) {
     Value v = runtime::random_value(gm, mutant, GetParam() * 31 + vs);
     Outcome t = run([&] { return oracle.apply(c.root, v); });
-    Outcome m = run([&] { return vm.apply(v); });
+    Outcome m = run([&] { return engine.apply(v); });
     ASSERT_EQ(t.ok, m.ok) << "seed " << GetParam() << " mutant "
-                          << v.to_string() << "\n  tree: "
+                          << v.to_string() << "\n  tree:   "
                           << (t.ok ? t.val.to_string() : t.error)
-                          << "\n  vm:   " << (m.ok ? m.val.to_string() : m.error);
+                          << "\n  engine: " << (m.ok ? m.val.to_string() : m.error);
     if (t.ok) {
       EXPECT_EQ(t.val, m.val);
     } else {
@@ -239,14 +239,14 @@ TEST_P(Differential, FusedMarshalMatchesConvertThenEncode) {
   ASSERT_TRUE(issues.empty()) << issues[0].to_string();
 
   runtime::Converter oracle(c.plan);
-  runtime::PlanVm vm(mp);
+  runtime::ThreadedEngine engine(mp);
 
   auto check = [&](const Value& v) {
     std::vector<uint8_t> fused, unfused;
     std::string ferr, uerr;
     bool fused_wire = false;
     try {
-      fused = vm.marshal(v);
+      fused = engine.marshal(v);
     } catch (const WireError& e) {
       ferr = e.what();
       fused_wire = true;

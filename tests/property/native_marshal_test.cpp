@@ -1,11 +1,9 @@
 // Native-marshal differential suite: the layout-fused zero-copy program
-// (planir::compile_native_marshal + PlanVm::marshal_native) against the
-// three-stage oracle read_image -> Converter -> wire::encode — and, on the
-// same 10k randomized triples, the switch VM against the direct-threaded
-// engine (byte-identical output, verbatim-identical errors) and against the
-// dlopen'd compiled stub where the generator accepts the program (success
-// bytes identical; the stub's single failure signal must fire exactly when
-// the interpreters throw).
+// (planir::compile_native_marshal + ThreadedEngine::marshal_native) against
+// the three-stage oracle read_image -> Converter -> wire::encode — and, on
+// the same 10k randomized triples, the dlopen'd compiled stub where the
+// generator accepts the program (success bytes identical; the stub's
+// single failure signal must fire exactly when the engine throws).
 //
 // Cases are randomized (layout, plan, heap image) triples: layout trees mix
 // aligned and packed placement, annotated integer ranges, enums, bools and
@@ -32,7 +30,6 @@
 #include "runtime/convert.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
-#include "runtime/vm.hpp"
 #include "support/rng.hpp"
 #include "wire/wire.hpp"
 
@@ -369,8 +366,7 @@ TEST_P(NativeMarshalDiff, FusedEqualsReadConvertEncode) {
                               << issues[0].to_string();
 
   runtime::Converter oracle(c.plan);
-  runtime::PlanVm vm(np);
-  runtime::ThreadedEngine threaded(np);
+  runtime::ThreadedEngine engine(np);
   // Compiled tier: only where the generator accepts the program (no enums,
   // no opaque fallbacks) and a host `cc` exists. Capped to the first 25
   // seeds so the suite doesn't spend its whole budget in the C compiler.
@@ -398,7 +394,7 @@ TEST_P(NativeMarshalDiff, FusedEqualsReadConvertEncode) {
     std::string ferr, uerr;
     bool fused_wire = false;
     try {
-      fused = vm.marshal_native(heap, base);
+      fused = engine.marshal_native(heap, base);
     } catch (const WireError& e) {
       ferr = e.what();
       fused_wire = true;
@@ -426,29 +422,14 @@ TEST_P(NativeMarshalDiff, FusedEqualsReadConvertEncode) {
           << "\n  unfused: " << uerr;
     }
 
-    // Threaded tier: byte-identical output AND verbatim-identical error
-    // against the switch VM — no wire/convert asymmetry allowed between
-    // interpreter tiers.
-    std::vector<uint8_t> tout;
-    std::string terr;
-    try {
-      tout = threaded.marshal_native(heap, base);
-    } catch (const MbError& e) {
-      terr = e.what();
-    }
-    ASSERT_EQ(terr, ferr) << "seed " << GetParam() << " image " << img;
-    if (ferr.empty()) {
-      ASSERT_EQ(tout, fused) << "seed " << GetParam() << " image " << img;
-    }
-
     // Compiled tier: identical success bytes; the stub's (size_t)-1
-    // failure signal must fire exactly when the interpreters throw.
+    // failure signal must fire exactly when the engine throws.
     if (stub != nullptr) {
       std::vector<uint8_t> cout_buf(stub->wire_size());
       const uint8_t* img_bytes = il.size != 0 ? heap.at(base, il.size) : nullptr;
       size_t n = stub->fn()(img_bytes, cout_buf.data());
       ASSERT_EQ(n == static_cast<size_t>(-1), !ferr.empty())
-          << "seed " << GetParam() << " image " << img << " vm: " << ferr;
+          << "seed " << GetParam() << " image " << img << " engine: " << ferr;
       if (ferr.empty()) {
         cout_buf.resize(n);
         ASSERT_EQ(cout_buf, fused) << "seed " << GetParam() << " image " << img;
@@ -531,8 +512,8 @@ TEST(NativeMarshalSpecialize, BlockCopyCoversByteIdenticalStruct) {
   for (int k = 0; k < 8; ++k) {
     heap.write_uint(base + k, 1, static_cast<uint64_t>(10 * k + 3));
   }
-  runtime::PlanVm vm(np);
-  auto fused = vm.marshal_native(heap, base);
+  runtime::ThreadedEngine engine(np);
+  auto fused = engine.marshal_native(heap, base);
   auto oracle = wire::encode(
       c.gb, c.b,
       runtime::Converter(c.plan).apply(c.root,
@@ -556,8 +537,8 @@ TEST(NativeMarshalSpecialize, NarrowedRangeSuppressesBlockCopy) {
   NativeHeap heap;
   uint64_t base = heap.alloc(4, 8);
   for (int k = 0; k < 4; ++k) heap.write_uint(base + k, 1, 7);
-  runtime::PlanVm vm(np);
-  auto fused = vm.marshal_native(heap, base);
+  runtime::ThreadedEngine engine(np);
+  auto fused = engine.marshal_native(heap, base);
   auto oracle = wire::encode(
       c.gb, c.b,
       runtime::Converter(c.plan).apply(c.root,
@@ -567,7 +548,7 @@ TEST(NativeMarshalSpecialize, NarrowedRangeSuppressesBlockCopy) {
 
   // Below the annotated range: both paths must throw.
   heap.write_uint(base + 2, 1, 0);
-  EXPECT_THROW(vm.marshal_native(heap, base), ConversionError);
+  EXPECT_THROW((void)engine.marshal_native(heap, base), ConversionError);
   EXPECT_THROW(runtime::read_image(*c.layout, 0, heap, base), ConversionError);
 }
 

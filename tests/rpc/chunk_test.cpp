@@ -16,7 +16,6 @@
 #include "runtime/engine.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
-#include "runtime/vm.hpp"
 #include "wire/wire.hpp"
 
 namespace mbird::rpc {
@@ -315,9 +314,9 @@ TEST(Streaming, EncoderEmitsBoundedPiecesByteIdentical) {
   EXPECT_EQ(cat, reference);  // concatenation == the single-frame path
 }
 
-TEST(Streaming, MarshalChunkedParityAcrossEngineTiers) {
-  // The engines' chunked marshal (identity plan) must match their own
-  // single-buffer marshal byte-for-byte under the same piece bound.
+TEST(Streaming, MarshalChunkedMatchesConvertThenEncode) {
+  // The engine's chunked and single-buffer marshal (identity plan) must
+  // both match convert-then-encode byte-for-byte under the piece bound.
   Graph g;
   Ref seq = four_mib_type(g);
   Value v = four_mib_value();
@@ -327,9 +326,9 @@ TEST(Streaming, MarshalChunkedParityAcrossEngineTiers) {
       planir::compile_marshal(full.to_right.plan, full.to_right.root, g, seq);
   planir::require_valid(p);
 
-  runtime::PlanVm vm(p);
   runtime::ThreadedEngine te(p);
-  std::vector<uint8_t> reference = vm.marshal(v);
+  std::vector<uint8_t> reference = wire::encode(
+      g, seq, runtime::Converter(full.to_right.plan).apply(full.to_right.root, v));
   ASSERT_GE(reference.size(), 4u << 20);
   EXPECT_EQ(te.marshal(v), reference);
 
@@ -345,10 +344,6 @@ TEST(Streaming, MarshalChunkedParityAcrossEngineTiers) {
     });
     return cat;
   };
-  EXPECT_EQ(collect([&](const runtime::PieceSink& emit) {
-              vm.marshal_chunked(v, kPiece, emit);
-            }),
-            reference);
   EXPECT_EQ(collect([&](const runtime::PieceSink& emit) {
               te.marshal_chunked(v, kPiece, emit);
             }),
@@ -426,28 +421,27 @@ TEST(Streaming, NativeChunkedMarshalMatchesSingleBuffer) {
   heap.write_uint(base + 2, 2, 31000);
   heap.write_f32(base + 4, 0.75f);
 
-  runtime::PlanVm vm(p);
   runtime::ThreadedEngine te(p);
-  std::vector<uint8_t> reference;
-  vm.marshal_native_into(heap, base, reference);
+  const std::vector<uint8_t> reference = wire::encode(
+      g, msg,
+      runtime::Converter(full.to_right.plan)
+          .apply(full.to_right.root,
+                 runtime::read_image(*layout, 0, heap, base)));
   ASSERT_FALSE(reference.empty());
+  std::vector<uint8_t> single;
+  te.marshal_native_into(heap, base, single);
+  EXPECT_EQ(single, reference);
 
-  for (int engine = 0; engine < 2; ++engine) {
-    std::vector<uint8_t> cat;
-    auto emit = [&](std::vector<uint8_t>&& piece, bool last) {
-      if (!last) {
-        EXPECT_EQ(piece.size(), 3u);
-      }
-      EXPECT_LE(piece.size(), 3u);
-      cat.insert(cat.end(), piece.begin(), piece.end());
-    };
-    if (engine == 0) {
-      vm.marshal_native_chunked(heap, base, 3, emit);
-    } else {
-      te.marshal_native_chunked(heap, base, 3, emit);
-    }
-    EXPECT_EQ(cat, reference) << "engine " << engine;
-  }
+  std::vector<uint8_t> cat;
+  te.marshal_native_chunked(
+      heap, base, 3, [&](std::vector<uint8_t>&& piece, bool last) {
+        if (!last) {
+          EXPECT_EQ(piece.size(), 3u);
+        }
+        EXPECT_LE(piece.size(), 3u);
+        cat.insert(cat.end(), piece.begin(), piece.end());
+      });
+  EXPECT_EQ(cat, reference);
 }
 
 TEST(Streaming, NativeStubStreamingSendAcrossTiers) {
@@ -471,8 +465,8 @@ TEST(Streaming, NativeStubStreamingSendAcrossTiers) {
 
   const bool cc = std::system("cc --version > /dev/null 2>&1") == 0;
   const runtime::EngineTier before = runtime::engine_tier();
-  for (auto tier : {runtime::EngineTier::Vm, runtime::EngineTier::Threaded,
-                    runtime::EngineTier::Compiled}) {
+  for (auto tier :
+       {runtime::EngineTier::Threaded, runtime::EngineTier::Compiled}) {
     if (tier == runtime::EngineTier::Compiled && !cc) continue;
     runtime::set_engine_tier(tier);
     ReliabilityOptions ro;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "compare/compare.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/layout.hpp"
@@ -411,8 +412,9 @@ TEST(NativeStub, LocalPortDecodesAgainstRegisteredType) {
 
 TEST(NativeStub, AllEngineTiersProduceIdenticalWire) {
   // Identity marshal (every field byte-representable without conversion):
-  // eligible for all three tiers, including the dlopen'd compiled stub.
-  // Each tier's bytes must be identical and decode the same value.
+  // eligible for both tiers, including the dlopen'd compiled stub. Each
+  // tier's bytes must equal the reference pipeline's and decode the same
+  // value.
   Graph g;
   Ref msg = g.record({g.integer(0, 255), g.integer(0, 65535), g.real(24, 8)},
                      {"tag", "count", "ratio"});
@@ -426,11 +428,17 @@ TEST(NativeStub, AllEngineTiersProduceIdenticalWire) {
   heap.write_uint(base + 2, 2, 777);
   heap.write_f32(base + 4, 2.25f);
 
+  // The reference semantics: read_image -> Converter -> wire::encode.
+  const std::vector<uint8_t> reference = wire::encode(
+      g, msg,
+      runtime::Converter(full.to_right.plan)
+          .apply(full.to_right.root,
+                 runtime::read_image(*layout, 0, heap, base)));
+
   const bool cc = std::system("cc --version > /dev/null 2>&1") == 0;
   const runtime::EngineTier before = runtime::engine_tier();
-  std::vector<uint8_t> reference;
-  for (auto tier : {runtime::EngineTier::Vm, runtime::EngineTier::Threaded,
-                    runtime::EngineTier::Compiled}) {
+  for (auto tier :
+       {runtime::EngineTier::Threaded, runtime::EngineTier::Compiled}) {
     if (tier == runtime::EngineTier::Compiled && !cc) continue;
     runtime::set_engine_tier(tier);
     Node n(1);
@@ -441,13 +449,8 @@ TEST(NativeStub, AllEngineTiersProduceIdenticalWire) {
     EXPECT_EQ(stub.tier(), tier)
         << "requested " << runtime::to_string(tier) << ", got "
         << runtime::to_string(stub.tier());
-    auto bytes = stub.marshal(heap, base);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference)
-          << "tier " << runtime::to_string(tier) << " diverged";
-    }
+    EXPECT_EQ(stub.marshal(heap, base), reference)
+        << "tier " << runtime::to_string(tier) << " diverged";
     stub.send(p, heap, base);
     n.poll();
     ASSERT_EQ(got.size(), 1u);
@@ -455,6 +458,93 @@ TEST(NativeStub, AllEngineTiersProduceIdenticalWire) {
                                      Value::real(2.25)}));
   }
   runtime::set_engine_tier(before);
+}
+
+TEST(NativeStub, OverBudgetProgramThrowsTypedError) {
+  // A verified native program whose NativeSeq DAG shares each level's child
+  // twice: 22 levels flatten to 2^22 copies of the base stream, past the
+  // engine's op budget. compile_native_marshal never emits such sharing,
+  // so the program is built by hand; both the engine and the stub must
+  // refuse it with a typed error, without crashing or running the walk out.
+  Graph g;
+  Ref msg = g.record({g.integer(0, 255), g.integer(0, 65535), g.real(24, 8)},
+                     {"tag", "count", "ratio"});
+  auto full = compare::compare_full(g, msg, g, msg);
+  ASSERT_EQ(full.verdict, compare::Verdict::Equivalent);
+  auto prog = std::make_shared<planir::Program>(planir::compile_native_marshal(
+      full.to_right.plan, full.to_right.root, g, msg, tagged_layout()));
+  for (int level = 0; level < 22; ++level) {
+    planir::Program::RecordTab rt;
+    rt.fields_off = static_cast<uint32_t>(prog->fields.size());
+    rt.fields_len = 2;
+    planir::Program::Field f;
+    f.op = prog->entry;
+    prog->fields.push_back(f);
+    prog->fields.push_back(f);
+    prog->code.push_back(
+        {planir::OpCode::NativeSeq, static_cast<uint32_t>(prog->records.size())});
+    prog->records.push_back(rt);
+    prog->origin.push_back(prog->origin[prog->entry]);
+    prog->entry = static_cast<uint32_t>(prog->code.size() - 1);
+  }
+  planir::require_valid(*prog);
+  EXPECT_FALSE(runtime::static_native_wire_size(*prog).has_value());
+
+  try {
+    runtime::ThreadedEngine engine(*prog);
+    FAIL() << "engine accepted an over-budget program";
+  } catch (const planir::IrError& e) {
+    EXPECT_EQ(e.fault(), planir::IrFault::OperandRange) << e.what();
+  }
+  const runtime::EngineTier before = runtime::engine_tier();
+  for (auto tier :
+       {runtime::EngineTier::Threaded, runtime::EngineTier::Compiled}) {
+    runtime::set_engine_tier(tier);
+    Node n(1);
+    EXPECT_THROW({ NativeStub stub(n, prog); }, planir::IrError)
+        << runtime::to_string(tier);
+  }
+  runtime::set_engine_tier(before);
+}
+
+TEST(PortProxy, LocalProxyBuildsItsEngineOnce) {
+  // A reply port converted into a proxy whose original port is local: the
+  // proxy's convert-mode engine is built once, when the proxy opens, and
+  // then serves every delivered message.
+  Graph ga, gb;
+  Ref a_out = ga.record({ga.integer(-100, 100), ga.real(24, 8)}, {"x", "y"});
+  Ref a_inv = ga.record({ga.integer(0, 9), ga.port(a_out)});
+  Ref b_out = gb.record({gb.real(24, 8), gb.integer(-100, 100)}, {"y", "x"});
+  Ref b_inv = gb.record({gb.integer(0, 9), gb.port(b_out)});
+  auto res = compare::compare(ga, a_inv, gb, b_inv, {});
+  ASSERT_TRUE(res.ok) << res.mismatch.to_string();
+
+  Node n(1);
+  std::vector<Value> got;
+  uint64_t reply =
+      n.open_port(&ga, a_out, [&](const Value& v) { got.push_back(v); });
+  obs::Counter& builds = obs::counter("planvm.threaded.builds");
+  const uint64_t builds0 = builds.value();
+  runtime::Converter conv(res.plan, make_port_adapter(n, res.plan, ga, gb));
+  Value b_invocation = conv.apply(
+      res.root, Value::record({Value::integer(3), Value::port(reply)}));
+  const uint64_t proxy = b_invocation.at(1).as_port();
+  ASSERT_NE(proxy, reply);
+  EXPECT_EQ(builds.value() - builds0, 1u);
+
+  constexpr int kMessages = 64;
+  for (int k = 0; k < kMessages; ++k) {
+    n.send(proxy, gb, b_out,
+           Value::record({Value::real(k * 0.5), Value::integer(k - 50)}));
+  }
+  pump({&n});
+  ASSERT_EQ(got.size(), static_cast<size_t>(kMessages));
+  for (int k = 0; k < kMessages; ++k) {
+    EXPECT_EQ(got[k], Value::record({Value::integer(k - 50),
+                                     Value::real(k * 0.5)}));
+  }
+  EXPECT_EQ(builds.value() - builds0, 1u)
+      << "the proxy rebuilt its engine per delivered message";
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Direct-threaded engine unit tests (DESIGN.md §4j): tier selection
-// plumbing, marshal/native-marshal parity with the switch VM on targeted
-// shapes (records, choices, lists, customs), choice inline-cache behavior
-// observable through stats(), the SIMD range prologue (block counts,
-// rescan-on-failure, fault ordering identical to the VM), static output
-// sizing, trim-on-throw, and the compiled-stub cache roundtrip.
+// PlanIR engine unit tests (DESIGN.md §4e, §4j): tier selection plumbing,
+// convert/marshal/native-marshal parity with the reference semantics (tree
+// Converter + wire::encode, fed by read_image for native programs) on
+// targeted shapes (records, choices, lists, customs), mode mismatches,
+// choice inline-cache behavior observable through stats(), the SIMD range
+// prologue (block counts, rescan-on-failure, fault ordering identical to
+// read_image), static output sizing, trim-on-throw, and the compiled-stub
+// cache roundtrip.
 //
 // The 10k-triple randomized differential lives in
 // tests/property/native_marshal_test.cpp; these cases pin the mechanisms.
@@ -13,6 +15,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "codegen/stubcache.hpp"
 #include "compare/compare.hpp"
@@ -21,7 +27,6 @@
 #include "runtime/engine.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
-#include "runtime/vm.hpp"
 #include "wire/wire.hpp"
 
 // Live heap allocations (operator new minus operator delete, all threads),
@@ -74,18 +79,26 @@ using LK = ImageLayout::K;
 
 bool have_cc() { return std::system("cc --version > /dev/null 2>&1") == 0; }
 
+/// Bytes (or the error text) of one run of `f`.
+template <typename F>
+std::pair<std::vector<uint8_t>, std::string> outcome(F&& f) {
+  try {
+    return {f(), ""};
+  } catch (const MbError& e) {
+    return {{}, e.what()};
+  }
+}
+
 // ---- tier policy ------------------------------------------------------------
 
 TEST(EngineTier, ParsesAndPrints) {
   runtime::EngineTier t;
-  EXPECT_TRUE(runtime::parse_engine_tier("vm", &t));
-  EXPECT_EQ(t, runtime::EngineTier::Vm);
   EXPECT_TRUE(runtime::parse_engine_tier("threaded", &t));
   EXPECT_EQ(t, runtime::EngineTier::Threaded);
   EXPECT_TRUE(runtime::parse_engine_tier("compiled", &t));
   EXPECT_EQ(t, runtime::EngineTier::Compiled);
+  EXPECT_FALSE(runtime::parse_engine_tier("vm", &t));
   EXPECT_FALSE(runtime::parse_engine_tier("jit", &t));
-  EXPECT_STREQ(runtime::to_string(runtime::EngineTier::Vm), "vm");
   EXPECT_STREQ(runtime::to_string(runtime::EngineTier::Threaded), "threaded");
   EXPECT_STREQ(runtime::to_string(runtime::EngineTier::Compiled), "compiled");
 }
@@ -93,8 +106,8 @@ TEST(EngineTier, ParsesAndPrints) {
 TEST(EngineTier, DefaultsToThreadedAndRoundTrips) {
   runtime::EngineTier before = runtime::engine_tier();
   EXPECT_EQ(before, runtime::EngineTier::Threaded);
-  runtime::set_engine_tier(runtime::EngineTier::Vm);
-  EXPECT_EQ(runtime::engine_tier(), runtime::EngineTier::Vm);
+  runtime::set_engine_tier(runtime::EngineTier::Compiled);
+  EXPECT_EQ(runtime::engine_tier(), runtime::EngineTier::Compiled);
   runtime::set_engine_tier(before);
 }
 
@@ -118,27 +131,39 @@ Built pair_of(Ref (*mk)(Graph&), Ref (*mk_dst)(Graph&)) {
   return s;
 }
 
-/// Marshal `v` through both tiers; bytes and errors must agree verbatim.
-void expect_marshal_parity(const Program& p, const Value& v) {
-  runtime::PlanVm vm(p);
-  ThreadedEngine te(p);
-  std::vector<uint8_t> vb, tb;
-  std::string verr, terr;
-  try {
-    vb = vm.marshal(v);
-  } catch (const MbError& e) {
-    verr = e.what();
-  }
-  try {
-    tb = te.marshal(v);
-  } catch (const MbError& e) {
-    terr = e.what();
-  }
-  EXPECT_EQ(terr, verr);
-  EXPECT_EQ(tb, vb);
+/// A one-op Custom plan from integer(0..1000) to integer(0..1000).
+Built custom_pair(const std::string& name) {
+  Built s;
+  s.a = s.ga.integer(0, 1000);
+  s.b = s.gb.integer(0, 1000);
+  s.root = plan::make_custom(s.plan, name);
+  return s;
 }
 
-TEST(ThreadedMarshal, RecordReorderMatchesVm) {
+runtime::CustomRegistry plus_one() {
+  runtime::CustomRegistry reg;
+  reg["plus_one"] = [](const Value& v) {
+    return Value::integer(v.as_int() + 1);
+  };
+  return reg;
+}
+
+/// Marshal `v` through the engine and through convert-then-encode; bytes
+/// and errors must agree verbatim.
+void expect_marshal_parity(const Built& s, const Value& v,
+                           const runtime::CustomRegistry& reg = {}) {
+  Program p = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
+  planir::require_valid(p);
+  ThreadedEngine te(p, {}, reg);
+  runtime::Converter oracle(s.plan, {}, reg);
+  auto want = outcome(
+      [&] { return wire::encode(s.gb, s.b, oracle.apply(s.root, v)); });
+  auto got = outcome([&] { return te.marshal(v); });
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_EQ(got.first, want.first);
+}
+
+TEST(ThreadedMarshal, RecordReorderMatchesOracle) {
   Built s = pair_of(
       [](Graph& g) {
         return g.record({g.integer(0, 100), g.character(stype::Repertoire::Latin1)},
@@ -148,55 +173,42 @@ TEST(ThreadedMarshal, RecordReorderMatchesVm) {
         return g.record({g.character(stype::Repertoire::Latin1), g.integer(0, 100)},
                         {"c", "n"});
       });
-  Program p = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
-  planir::require_valid(p);
-  expect_marshal_parity(p, Value::record({Value::integer(42), Value::character('x')}));
+  expect_marshal_parity(s, Value::record({Value::integer(42), Value::character('x')}));
   // Out-of-range: same typed error, same text.
-  expect_marshal_parity(p, Value::record({Value::integer(101), Value::character('x')}));
+  expect_marshal_parity(s, Value::record({Value::integer(101), Value::character('x')}));
 }
 
-TEST(ThreadedMarshal, ChoiceAndListMatchVm) {
-  Built s = pair_of(
+Built choice_list_pair() {
+  return pair_of(
       [](Graph& g) {
         return g.list_of(g.choice({g.integer(0, 10), g.unit(), g.real(24, 8)}));
       },
       [](Graph& g) {
         return g.list_of(g.choice({g.real(24, 8), g.integer(0, 10), g.unit()}));
       });
-  Program p = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
-  planir::require_valid(p);
+}
+
+TEST(ThreadedMarshal, ChoiceAndListMatchOracle) {
+  Built s = choice_list_pair();
   expect_marshal_parity(
-      p, Value::list({Value::choice(0, Value::integer(7)),
+      s, Value::list({Value::choice(0, Value::integer(7)),
                       Value::choice(1, Value::unit()),
                       Value::choice(2, Value::real(1.5)),
                       Value::choice(0, Value::integer(3))}));
-  expect_marshal_parity(p, Value::list({}));
+  expect_marshal_parity(s, Value::list({}));
   // Non-list input: identical shape error.
-  expect_marshal_parity(p, Value::integer(9));
+  expect_marshal_parity(s, Value::integer(9));
 }
 
-TEST(ThreadedMarshal, CustomConverterMatchesVm) {
-  Built s = pair_of([](Graph& g) { return g.integer(0, 1000); },
-                    [](Graph& g) { return g.integer(0, 1000); });
+TEST(ThreadedMarshal, CustomConverterMatchesOracle) {
+  Built s = custom_pair("plus_one");
   Program p = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
-  // Force the custom path through both tiers.
-  for (auto& ins : p.code) {
-    if (ins.op == planir::OpCode::EmitInt) {
-      ins.op = planir::OpCode::EmitCustom;
-      ins.a = static_cast<uint32_t>(p.custom_names.size());
-    }
-  }
-  p.custom_names.push_back("plus_one");
-  planir::require_valid(p);
-  runtime::CustomRegistry reg;
-  reg["plus_one"] = [](const Value& v) {
-    return Value::integer(v.as_int() + 1);
-  };
-  runtime::PlanVm vm(p, {}, reg);
-  ThreadedEngine te(p, {}, reg);
-  EXPECT_EQ(te.marshal(Value::integer(41)), vm.marshal(Value::integer(41)));
+  ASSERT_EQ(p.code[p.entry].op, planir::OpCode::EmitCustom);
+  expect_marshal_parity(s, Value::integer(41), plus_one());
+  // Out of the destination range after conversion.
+  expect_marshal_parity(s, Value::integer(1000), plus_one());
   // Unregistered converter: verbatim error parity.
-  expect_marshal_parity(p, Value::integer(1));
+  expect_marshal_parity(s, Value::integer(1));
 }
 
 TEST(ThreadedMarshal, ChoiceInlineCacheHitsOnRepeat) {
@@ -224,6 +236,90 @@ TEST(ThreadedMarshal, ChoiceInlineCacheHitsOnRepeat) {
   EXPECT_GT(te.stats().ic_misses, misses_after_first);
 }
 
+// ---- convert mode -----------------------------------------------------------
+
+/// Convert `v` through the engine and the tree Converter; values and errors
+/// must agree verbatim.
+void expect_convert_parity(const Built& s, const Value& v,
+                           const runtime::CustomRegistry& reg = {}) {
+  ThreadedEngine te(std::make_shared<const Program>(planir::compile(s.plan, s.root)),
+                    {}, reg);
+  runtime::Converter oracle(s.plan, {}, reg);
+  std::optional<Value> want, got;
+  std::string want_err, got_err;
+  try {
+    want = oracle.apply(s.root, v);
+  } catch (const MbError& e) {
+    want_err = e.what();
+  }
+  try {
+    got = te.apply(v);
+  } catch (const MbError& e) {
+    got_err = e.what();
+  }
+  EXPECT_EQ(got_err, want_err);
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (want) {
+    EXPECT_EQ(*got, *want);
+  }
+}
+
+TEST(ThreadedConvert, ChoiceAndListMatchConverter) {
+  Built s = choice_list_pair();
+  expect_convert_parity(
+      s, Value::list({Value::choice(0, Value::integer(7)),
+                      Value::choice(1, Value::unit()),
+                      Value::choice(2, Value::real(1.5))}));
+  expect_convert_parity(s, Value::list({}));
+  // Out-of-range element, unknown arm, non-list input: identical errors.
+  expect_convert_parity(s, Value::list({Value::choice(0, Value::integer(11))}));
+  expect_convert_parity(s, Value::list({Value::choice(5, Value::unit())}));
+  expect_convert_parity(s, Value::integer(9));
+}
+
+TEST(ThreadedConvert, RecordReorderMatchesConverter) {
+  Built s = pair_of(
+      [](Graph& g) {
+        return g.record({g.integer(0, 100), g.record({g.real(24, 8)})},
+                        {"n", "r"});
+      },
+      [](Graph& g) {
+        return g.record({g.record({g.real(24, 8)}), g.integer(0, 100)},
+                        {"r", "n"});
+      });
+  expect_convert_parity(s, Value::record({Value::integer(5),
+                                          Value::record({Value::real(0.5)})}));
+  expect_convert_parity(s, Value::integer(5));
+}
+
+TEST(ThreadedConvert, CustomMatchesConverter) {
+  Built s = custom_pair("plus_one");
+  expect_convert_parity(s, Value::integer(41), plus_one());
+  expect_convert_parity(s, Value::integer(41));  // unregistered
+}
+
+TEST(ThreadedConvert, ModeMismatchBothWays) {
+  Built s = choice_list_pair();
+  auto expect_mismatch = [](auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected IrError(ModeMismatch)";
+    } catch (const planir::IrError& e) {
+      EXPECT_EQ(e.fault(), planir::IrFault::ModeMismatch) << e.what();
+    }
+  };
+  ThreadedEngine conv(
+      std::make_shared<const Program>(planir::compile(s.plan, s.root)));
+  EXPECT_EQ(conv.op_count(), 0u);
+  expect_mismatch([&] { (void)conv.marshal(Value::list({})); });
+  NativeHeap heap;
+  expect_mismatch([&] { (void)conv.marshal_native(heap, 0); });
+
+  ThreadedEngine mar(std::make_shared<const Program>(
+      planir::compile_marshal(s.plan, s.root, s.gb, s.b)));
+  expect_mismatch([&] { (void)mar.apply(Value::list({})); });
+}
+
 // ---- native-marshal: SIMD prologue ------------------------------------------
 
 /// A record of `n` contiguous annotated u8 fields ([0..200]) and its
@@ -233,7 +329,20 @@ struct NativeCase {
   std::shared_ptr<const ImageLayout> layout;
   Graph ga, gb;
   Ref a = mtype::kNullRef, b = mtype::kNullRef;
+  plan::PlanGraph plan;
+  plan::PlanRef root = plan::kNullPlan;
   Program prog;
+
+  /// The reference pipeline: read_image -> Converter -> wire::encode.
+  std::pair<std::vector<uint8_t>, std::string> oracle(const NativeHeap& heap,
+                                                      uint64_t base) const {
+    return outcome([&] {
+      return wire::encode(
+          gb, b,
+          runtime::Converter(plan).apply(
+              root, runtime::read_image(*layout, 0, heap, base)));
+    });
+  }
 };
 
 NativeCase annotated_bytes_case(size_t n) {
@@ -266,23 +375,24 @@ NativeCase annotated_bytes_case(size_t n) {
   c.b = c.gb.record(std::move(dkids));
   auto full = compare::compare_full(c.ga, c.a, c.gb, c.b);
   EXPECT_EQ(full.verdict, compare::Verdict::Equivalent);
-  c.prog = planir::compile_native_marshal(full.to_right.plan,
-                                          full.to_right.root, c.gb, c.b,
-                                          c.layout);
+  c.plan = std::move(full.to_right.plan);
+  c.root = full.to_right.root;
+  c.prog = planir::compile_native_marshal(c.plan, c.root, c.gb, c.b, c.layout);
   planir::require_valid(c.prog);
   return c;
 }
 
-TEST(ThreadedNative, SimdPrologueMatchesVmOnCleanImage) {
+TEST(ThreadedNative, SimdPrologueMatchesOracleOnCleanImage) {
   NativeCase c = annotated_bytes_case(40);
-  runtime::PlanVm vm(c.prog);
   ThreadedEngine te(c.prog);
   NativeHeap heap;
   uint64_t base = heap.alloc(40, 8);
   for (int k = 0; k < 40; ++k) {
     heap.write_uint(base + k, 1, static_cast<uint64_t>((k * 5) % 200));
   }
-  EXPECT_EQ(te.marshal_native(heap, base), vm.marshal_native(heap, base));
+  auto want = c.oracle(heap, base);
+  ASSERT_EQ(want.second, "");
+  EXPECT_EQ(te.marshal_native(heap, base), want.first);
   // 40 lane-eligible bytes = 2 full 16-lane blocks + 8 scalar tail checks.
   EXPECT_GE(te.stats().simd_blocks, 2u);
   EXPECT_EQ(te.stats().simd_rescans, 0u);
@@ -291,37 +401,27 @@ TEST(ThreadedNative, SimdPrologueMatchesVmOnCleanImage) {
   EXPECT_EQ(*te.static_size(), te.marshal_native(heap, base).size());
 }
 
-TEST(ThreadedNative, SimdFailureRescansAndMatchesVmFaultOrder) {
+TEST(ThreadedNative, SimdFailureRescansAndMatchesOracleFaultOrder) {
   NativeCase c = annotated_bytes_case(40);
-  runtime::PlanVm vm(c.prog);
   ThreadedEngine te(c.prog);
   NativeHeap heap;
   uint64_t base = heap.alloc(40, 8);
   for (int k = 0; k < 40; ++k) heap.write_uint(base + k, 1, 100);
 
   auto expect_same_fault = [&]() {
-    std::string verr, terr;
-    try {
-      (void)vm.marshal_native(heap, base);
-    } catch (const MbError& e) {
-      verr = e.what();
-    }
-    try {
-      (void)te.marshal_native(heap, base);
-    } catch (const MbError& e) {
-      terr = e.what();
-    }
-    ASSERT_FALSE(verr.empty());
-    EXPECT_EQ(terr, verr);
+    std::string want = c.oracle(heap, base).second;
+    std::string got = outcome([&] { return te.marshal_native(heap, base); }).second;
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
   };
 
-  // A lane failure inside the first block: rescan must surface it with the
-  // VM's exact message.
+  // A lane failure inside the first block: rescan must surface it with
+  // read_image's exact message.
   heap.write_uint(base + 5, 1, 250);
   expect_same_fault();
   EXPECT_GE(te.stats().simd_rescans, 1u);
 
-  // Two bad fields: the first in pre-order wins in both tiers.
+  // Two bad fields: the first in pre-order wins in both.
   heap.write_uint(base + 20, 1, 255);
   expect_same_fault();
 
@@ -345,22 +445,12 @@ uint32_t dst_slot(Program& p, Ref d) {
 // encoded bytes, the materialized image Value). Under computed-goto
 // dispatch those must still be destroyed before jumping to the next op.
 TEST(ThreadedDispatch, CustomAndOpaqueOpsFreeTheirTemporaries) {
+  Built cs = custom_pair("plus_one");
+  Program custom = planir::compile_marshal(cs.plan, cs.root, cs.gb, cs.b);
+  planir::require_valid(custom);
+  // The whole value through the fallback convert program.
   Built s = pair_of([](Graph& g) { return g.integer(0, 1000); },
                     [](Graph& g) { return g.integer(0, 1000); });
-  Program custom = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
-  for (auto& ins : custom.code) {
-    if (ins.op == planir::OpCode::EmitInt) {
-      ins.op = planir::OpCode::EmitCustom;
-      ins.a = 0;
-    }
-  }
-  custom.custom_names.push_back("plus_one");
-  planir::require_valid(custom);
-  runtime::CustomRegistry reg;
-  reg["plus_one"] = [](const Value& v) {
-    return Value::integer(v.as_int() + 1);
-  };
-  // The whole value through the fallback convert program.
   Program opaque = planir::compile_marshal(s.plan, s.root, s.gb, s.b);
   opaque.code[opaque.entry] = planir::Instr{
       planir::OpCode::EmitOpaque, opaque.fallback->entry, dst_slot(opaque, s.b)};
@@ -381,12 +471,17 @@ TEST(ThreadedDispatch, CustomAndOpaqueOpsFreeTheirTemporaries) {
   uint64_t base = heap.alloc(4, 8);
   for (int k = 0; k < 4; ++k) heap.write_uint(base + k, 1, 7u * k);
 
-  ThreadedEngine tc(custom, {}, reg), to(opaque), tn(native);
-  runtime::PlanVm vn(nc.prog);
+  ThreadedEngine tc(custom, {}, plus_one()), to(opaque), tn(native);
   const Value in = Value::integer(41);
-  EXPECT_EQ(tc.marshal(in), runtime::PlanVm(custom, {}, reg).marshal(in));
-  EXPECT_EQ(to.marshal(in), runtime::PlanVm(opaque).marshal(in));
-  EXPECT_EQ(tn.marshal_native(heap, base), vn.marshal_native(heap, base));
+  EXPECT_EQ(tc.marshal(in),
+            wire::encode(cs.gb, cs.b,
+                         runtime::Converter(cs.plan, {}, plus_one())
+                             .apply(cs.root, in)));
+  EXPECT_EQ(to.marshal(in),
+            wire::encode(s.gb, s.b, runtime::Converter(s.plan).apply(s.root, in)));
+  auto want = nc.oracle(heap, base);
+  ASSERT_EQ(want.second, "");
+  EXPECT_EQ(tn.marshal_native(heap, base), want.first);
   const int64_t before = g_live_allocs.load();
   for (int i = 0; i < 1000; ++i) {
     (void)tc.marshal(in);
@@ -425,13 +520,6 @@ TEST(ThreadedNative, RunCounterAdvances) {
   (void)ThreadedEngine::computed_goto();  // must not crash either way
 }
 
-TEST(ThreadedNative, RejectsConvertModePrograms) {
-  Built s = pair_of([](Graph& g) { return g.integer(0, 9); },
-                    [](Graph& g) { return g.integer(0, 9); });
-  Program conv = planir::compile(s.plan, s.root);
-  EXPECT_THROW(ThreadedEngine te(conv), planir::IrError);
-}
-
 // ---- compiled-stub cache ----------------------------------------------------
 
 TEST(StubCacheTest, CompilesRunsAndRehits) {
@@ -447,18 +535,22 @@ TEST(StubCacheTest, CompilesRunsAndRehits) {
   NativeHeap heap;
   uint64_t base = heap.alloc(24, 8);
   for (int k = 0; k < 24; ++k) heap.write_uint(base + k, 1, 50 + k);
-  runtime::PlanVm vm(c.prog);
   std::vector<uint8_t> buf(stub->wire_size());
   size_t n = stub->fn()(heap.at(base, 24), buf.data());
   ASSERT_NE(n, static_cast<size_t>(-1));
   buf.resize(n);
-  EXPECT_EQ(buf, vm.marshal_native(heap, base));
+  auto want = c.oracle(heap, base);
+  ASSERT_EQ(want.second, "");
+  EXPECT_EQ(buf, want.first);
 
-  // Out-of-range byte: the stub signals failure instead of emitting.
+  // Out-of-range byte: the stub signals failure instead of emitting, where
+  // the reference pipeline and the engine throw.
   heap.write_uint(base + 3, 1, 201);
   buf.assign(stub->wire_size(), 0);
   EXPECT_EQ(stub->fn()(heap.at(base, 24), buf.data()), static_cast<size_t>(-1));
-  EXPECT_THROW((void)vm.marshal_native(heap, base), ConversionError);
+  EXPECT_FALSE(c.oracle(heap, base).second.empty());
+  EXPECT_THROW((void)ThreadedEngine(c.prog).marshal_native(heap, base),
+               ConversionError);
 
   // Same program again: an in-memory hit, no second compile.
   auto again = cache.get(c.prog);
@@ -470,7 +562,6 @@ TEST(StubCacheTest, CompilesRunsAndRehits) {
 TEST(StubCacheTest, RejectsEnumPrograms) {
   // An enum field forces LoadEnum, which the C generator refuses — the
   // cache must answer nullptr (fallback tier) rather than compile.
-  NativeCase base_case = annotated_bytes_case(4);
   Graph ga, gb;
   ImageLayout il;
   il.names = {""};

@@ -351,6 +351,19 @@ TEST_F(ToolTest, DiagFormatJsonEmitsStructuredLines) {
   EXPECT_NE(bad.err.find("usage:"), std::string::npos) << bad.err;
 }
 
+TEST_F(ToolTest, EngineRejectsRemovedVmTier) {
+  // `--engine` takes only `threaded` or `compiled`; anything else, `vm`
+  // included, is a usage error naming both.
+  auto r = run_cli({"--engine=vm", "list"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("expects 'threaded' or 'compiled', got 'vm'"),
+            std::string::npos)
+      << r.err;
+  EXPECT_NE(r.err.find("--engine=threaded|compiled"), std::string::npos)
+      << r.err;
+}
+
 TEST_F(ToolTest, BatchRejectsBadInputs) {
   // Unknown declaration in the manifest.
   write(dir_ + "/bad.txt", "fitter NoSuchDecl\n");
