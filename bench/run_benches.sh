@@ -1,11 +1,18 @@
 #!/usr/bin/env sh
-# Regenerates the committed benchmark baselines.
+# Regenerates the committed benchmark baselines and checks the acceptance
+# ratios they document.
 #
 #   bench/run_benches.sh [build-dir]
 #
 # Builds the benchmark binaries (Release unless the build dir already
 # exists with another config) and runs them with google-benchmark's JSON
-# reporter.
+# reporter, three repetitions each; every committed row is the fastest
+# repetition. The script then exits non-zero if any of these documented
+# ratios fails (bench/baseline.py check prints each one): native >= 3x
+# two-phase, PlanIRChoiceHeavy >= 2x TreeChoiceHeavy, fused beating
+# convert-then-marshal, BatchDriverWarm >= 3x BatchDriverThreads, and the
+# restart row within 5x of warm. The 2.55x engine floor and the obs budget
+# have their own gates (check_engine_tiers.sh, check_obs_overhead.sh).
 #
 # bench/BENCH_planir.json documents the two PlanIR acceptance ratios,
 # all PlanIR rows running on the PlanIR engine (runtime::ThreadedEngine):
@@ -65,29 +72,11 @@ set -eu
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 
-# Stamp the host's core count and CPU model into a baseline's JSON
-# context: committed numbers are meaningless without knowing whether they
-# came from a 1-core CI runner or a 16-core workstation (the parallel
-# scaling rows especially).
-annotate_host() {
-  python3 - "$1" <<'EOF'
-import json, os, sys
-path = sys.argv[1]
-data = json.load(open(path))
-model = ""
-try:
-    for line in open("/proc/cpuinfo"):
-        if line.startswith("model name"):
-            model = line.split(":", 1)[1].strip()
-            break
-except OSError:
-    pass
-data.setdefault("context", {})["host"] = {
-    "cores": os.cpu_count() or 1,
-    "cpu_model": model,
-}
-json.dump(data, open(path, "w"), indent=1)
-EOF
+# Each baseline row is the fastest of three repetitions and carries the
+# host's core count and CPU model (bench/baseline.py finalize).
+finalize() {
+  python3 "$repo/bench/baseline.py" finalize "$1"
+  echo "wrote $1"
 }
 
 if [ ! -f "$build/CMakeCache.txt" ]; then
@@ -98,35 +87,32 @@ cmake --build "$build" -j --target bench_fitter_conversion bench_comparer_scalin
 "$build/bench/bench_fitter_conversion" \
   --benchmark_filter='MockingbirdStub|PlanIRStub|ChoiceHeavy|ConvertThenMarshal|FusedConvertMarshal' \
   --benchmark_min_time=0.2 \
-  --benchmark_repetitions=1 \
+  --benchmark_repetitions=3 \
   --benchmark_format=json \
   --benchmark_out="$repo/bench/BENCH_planir.json" \
   --benchmark_out_format=json
 
-annotate_host "$repo/bench/BENCH_planir.json"
-echo "wrote $repo/bench/BENCH_planir.json"
+finalize "$repo/bench/BENCH_planir.json"
 
 "$build/bench/bench_comparer_scaling" \
   --benchmark_filter='SoloPairs/100|CrossCold/100|CrossWarm/100|BatchDriver|BatchStreamingManifest|PersistentWarmRestart' \
   --benchmark_min_time=0.2 \
-  --benchmark_repetitions=1 \
+  --benchmark_repetitions=3 \
   --benchmark_format=json \
   --benchmark_out="$repo/bench/BENCH_compare.json" \
   --benchmark_out_format=json
 
-annotate_host "$repo/bench/BENCH_compare.json"
-echo "wrote $repo/bench/BENCH_compare.json"
+finalize "$repo/bench/BENCH_compare.json"
 
 "$build/bench/bench_marshal_wire" \
   --benchmark_filter='BM_Marshal' \
   --benchmark_min_time=0.2 \
-  --benchmark_repetitions=1 \
+  --benchmark_repetitions=3 \
   --benchmark_format=json \
   --benchmark_out="$repo/bench/BENCH_native.json" \
   --benchmark_out_format=json
 
-annotate_host "$repo/bench/BENCH_native.json"
-echo "wrote $repo/bench/BENCH_native.json"
+finalize "$repo/bench/BENCH_native.json"
 
 # ---- observability overhead lane -------------------------------------------
 # Same sources, two configurations: the default build above (obs compiled
@@ -178,5 +164,8 @@ python3 "$repo/bench/merge_obs.py" $obs_on_files $obs_off_files \
   > "$repo/bench/BENCH_obs.json"
 rm -f "$repo"/bench/.obs_m_*.json "$repo"/bench/.obs_c_*.json
 
-annotate_host "$repo/bench/BENCH_obs.json"
-echo "wrote $repo/bench/BENCH_obs.json"
+finalize "$repo/bench/BENCH_obs.json"
+
+# Last, so every baseline is written even when a ratio fails: exit non-zero
+# if any acceptance ratio documented above does not hold.
+python3 "$repo/bench/baseline.py" check "$repo/bench"

@@ -516,8 +516,8 @@ void CrossCache::persist_variant(const Key& key, const Variant& v) {
     w.u64(kr.lo);
     w.u8(fp);
   }
-  store::encode_plan_nodes(w, v.ok ? v.frag.nodes
-                                   : std::vector<plan::PlanNode>{});
+  static const std::vector<plan::PlanNode> kNoNodes;
+  store::encode_plan_nodes(w, v.ok ? v.frag.nodes : kNoNodes);
   store_->put({sl, sr, key.fp}, store::CacheStore::kVerdict, w.data().data(),
               w.data().size());
   cache_metrics().persisted.add();

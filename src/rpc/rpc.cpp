@@ -161,6 +161,10 @@ void Node::send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
     return;
   }
   transmit(ps, p);
+  // The frame on the wire carries cum_recv, so it acks everything an
+  // explicit ACK would. (A backlogged frame leaves ack_due set: it may wait
+  // for window space long after this.)
+  ps.ack_due = false;
   ps.unacked.push_back(std::move(p));
   note_queue_depth(ps);
 }

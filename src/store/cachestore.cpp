@@ -167,13 +167,16 @@ void CacheStore::put(const CacheKey& key, uint8_t kind, const void* payload,
   if (key.left.is_null() || key.right.is_null()) return;
   std::lock_guard lock(mu_);
   if (!file_.is_open()) return;
-  std::vector<uint8_t> body(kKeyBytes + n);
-  body[0] = kind;
-  body[1] = key.fp;
-  put_id(body.data() + 2, key.left);
-  put_id(body.data() + 18, key.right);
-  std::memcpy(body.data() + kKeyBytes, payload, n);
-  uint32_t crc = crc32(body.data(), body.size());
+  // Header and key share one buffer; the crc chains over key then payload,
+  // so the payload goes to the page cache straight from the caller.
+  uint8_t rec[kHeaderBytes + kKeyBytes];
+  uint8_t* keyb = rec + kHeaderBytes;
+  keyb[0] = kind;
+  keyb[1] = key.fp;
+  put_id(keyb + 2, key.left);
+  put_id(keyb + 18, key.right);
+  uint32_t crc = crc32(payload, n, crc32(keyb, kKeyBytes));
+  const size_t body_len = kKeyBytes + n;
 
   auto& spans = index_[key];
   for (const Span& s : spans) {
@@ -181,34 +184,33 @@ void CacheStore::put(const CacheKey& key, uint8_t kind, const void* payload,
     // restart-recompute churn does not grow the file. Programs keep
     // first-wins semantics outright.
     if (s.kind == kind &&
-        ((s.crc == crc && s.len + kKeyBytes == body.size()) ||
+        ((s.crc == crc && s.len + kKeyBytes == body_len) ||
          kind == kProgram)) {
       return;
     }
   }
-  uint8_t hdr[kHeaderBytes];
-  uint32_t body_len = static_cast<uint32_t>(body.size());
-  std::memcpy(hdr, &body_len, 4);
-  std::memcpy(hdr + 4, &crc, 4);
+  uint32_t len32 = static_cast<uint32_t>(body_len);
+  std::memcpy(rec, &len32, 4);
+  std::memcpy(rec + 4, &crc, 4);
   std::string err;
   uint64_t off = file_.data_end();
-  if (!file_.append(hdr, sizeof hdr, &err) ||
-      !file_.append(body.data(), body.size(), &err)) {
+  if (!file_.append(rec, sizeof rec, &err) ||
+      !file_.append(payload, n, &err)) {
     // Append failure leaves a torn tail; rewind so the log stays valid.
     file_.truncate_data(off);
     return;
   }
   Span span;
   span.kind = kind;
-  span.off = off + kHeaderBytes + kKeyBytes;
+  span.off = off + sizeof rec;
   span.len = static_cast<uint32_t>(n);
   span.crc = crc;
   spans.push_back(span);
   ++entries_;
   ++appends_;
-  bytes_appended_ += kHeaderBytes + body.size();
+  bytes_appended_ += kHeaderBytes + body_len;
   metrics().appends.add(1);
-  metrics().bytes.add(kHeaderBytes + body.size());
+  metrics().bytes.add(kHeaderBytes + body_len);
 }
 
 bool CacheStore::flush(std::string* error) {

@@ -1,32 +1,63 @@
 #include "store/serial.hpp"
 
-#include <array>
+#include <bit>
+#include <cstring>
 
 namespace mbird::store {
 
 namespace {
 
-std::array<uint32_t, 256> make_crc_table() {
-  std::array<uint32_t, 256> t{};
+// Slicing-by-8 tables: kCrc.t[0] is the classic byte-at-a-time table for
+// the reflected polynomial 0xEDB88320, and t[k][b] is t[0][b] carried
+// through k further zero bytes, so one step folds eight input bytes with
+// eight independent lookups instead of a chain of eight dependent ones.
+struct CrcTables {
+  uint32_t t[8][256];
+};
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tb{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    tb.t[0][i] = c;
   }
-  return t;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      uint32_t prev = tb.t[k - 1][i];
+      tb.t[k][i] = (prev >> 8) ^ tb.t[0][prev & 0xffu];
+    }
+  }
+  return tb;
+}
+
+constexpr CrcTables kCrc = make_crc_tables();
+
+uint32_t load_le32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
 }
 
 }  // namespace
 
 uint32_t crc32(const void* data, size_t n, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrc.t;
   uint32_t c = seed ^ 0xffffffffu;
   const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = load_le32(p) ^ c;
+    uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

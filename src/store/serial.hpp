@@ -29,17 +29,22 @@ namespace mbird::store {
 
 inline constexpr uint32_t kPayloadCodecVersion = 1;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8. Chains:
+/// crc32(b, nb, crc32(a, na)) equals the crc of a followed by b.
 [[nodiscard]] uint32_t crc32(const void* data, size_t n, uint32_t seed = 0);
 
 class ByteWriter {
  public:
   void u8(uint8_t v) { buf_.push_back(v); }
   void u32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    uint8_t b[4];
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), b, b + 4);
   }
   void u64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), b, b + 8);
   }
   void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
   void i128(Int128 v) {

@@ -225,5 +225,31 @@ TEST(Reliability, ExplicitAcksQuenchRetransmissionsOneWay) {
   EXPECT_EQ(p.client.stats().retransmits, 0u);
 }
 
+TEST(Reliability, PiggybackedAckSuppressesExplicitAck) {
+  // A fault-free call: the reply frame carries the server's cumulative ack
+  // for the request, so the server sends no explicit ACK after it. The
+  // client still acks the reply explicitly (it has nothing to piggyback on).
+  Ref invocation;
+  Graph g = make_fn_graph(invocation);
+  Pair p({});
+  uint64_t fn = serve_function(p.server, g, invocation, [](const Value& args) {
+    return Value::record({Value::real(static_cast<double>(args.at(0).as_int()))});
+  });
+  for (int i = 0; i < 3; ++i) {
+    Value reply = call_function(p.client, fn, g, invocation,
+                                Value::record({Value::integer(i)}),
+                                {&p.client, &p.server});
+    ASSERT_EQ(reply, Value::record({Value::real(i)}));
+  }
+  PumpResult r = pump({&p.client, &p.server});
+  EXPECT_FALSE(r.hit_round_budget);
+  EXPECT_FALSE(p.client.has_pending());
+  EXPECT_FALSE(p.server.has_pending());
+  EXPECT_EQ(p.server.stats().acks_sent, 0u);
+  EXPECT_EQ(p.client.stats().acks_sent, 3u);
+  EXPECT_EQ(p.client.stats().retransmits, 0u);
+  EXPECT_EQ(p.server.stats().retransmits, 0u);
+}
+
 }  // namespace
 }  // namespace mbird::rpc

@@ -17,6 +17,7 @@
 
 #include "store/cachestore.hpp"
 #include "store/pagefile.hpp"
+#include "store/serial.hpp"
 
 namespace mbird::store {
 namespace {
@@ -61,6 +62,83 @@ std::vector<uint8_t> payload_of(uint64_t n, size_t len) {
     p[i] = static_cast<uint8_t>((n * 131 + i * 7) & 0xff);
   }
   return p;
+}
+
+// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
+// definition the table-driven crc32 must reproduce bit for bit.
+uint32_t crc32_reference(const uint8_t* p, size_t n) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+void append_le(std::vector<uint8_t>& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+// One record exactly as DESIGN.md §4i lays it out: u32 body_len | u32 crc
+// | u8 kind | u8 fp | left.hi left.lo right.hi right.lo | payload, all
+// little-endian, crc over everything after the crc word.
+std::vector<uint8_t> hand_built_record(const CacheKey& key, uint8_t kind,
+                                       const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> body;
+  body.push_back(kind);
+  body.push_back(key.fp);
+  append_le(body, key.left.hi, 8);
+  append_le(body, key.left.lo, 8);
+  append_le(body, key.right.hi, 8);
+  append_le(body, key.right.lo, 8);
+  body.insert(body.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> rec;
+  append_le(rec, body.size(), 4);
+  append_le(rec, crc32_reference(body.data(), body.size()), 4);
+  rec.insert(rec.end(), body.begin(), body.end());
+  return rec;
+}
+
+uint64_t page_format(uint32_t payload_version) {
+  return (static_cast<uint64_t>(CacheStore::kFormatVersion) << 32) |
+         payload_version;
+}
+
+// ---- crc32 ------------------------------------------------------------------
+
+TEST(Crc32, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(crc32(nullptr, 0, 0x12345678u), 0x12345678u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> buf(13000 + 8);
+  std::mt19937 rng(20261019);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng());
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t n = 0; n <= 64; ++n) {
+      ASSERT_EQ(crc32(buf.data() + off, n), crc32_reference(buf.data() + off, n))
+          << "off " << off << " len " << n;
+    }
+  }
+  for (size_t n : {12287u, 12288u, 12289u, 13000u}) {
+    for (size_t off : {0u, 3u, 7u}) {
+      EXPECT_EQ(crc32(buf.data() + off, n), crc32_reference(buf.data() + off, n))
+          << "off " << off << " len " << n;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossSplits) {
+  std::vector<uint8_t> buf(300);
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<uint8_t>(i * 37 + 11);
+  const uint32_t whole = crc32(buf.data(), buf.size());
+  for (size_t cut : {0u, 1u, 7u, 8u, 9u, 34u, 150u, 299u, 300u}) {
+    uint32_t a = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, a), whole) << "cut " << cut;
+  }
 }
 
 // ---- PageFile ---------------------------------------------------------------
@@ -213,6 +291,57 @@ TEST_F(StoreTest, CacheStoreRoundTripAcrossReopen) {
     }
   }
   EXPECT_GT(s.stats().hits, 0u);
+}
+
+TEST_F(StoreTest, CacheStoreRecordBytesMatchDocumentedLayout) {
+  std::string err;
+  CacheKey k;
+  k.left = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  k.right = {0x1122334455667788ULL, 0x99aabbccddeeff00ULL};
+  k.fp = 5;
+  auto p1 = payload_of(3, 12345);  // spans several pages
+  auto p2 = payload_of(4, 0);
+  {
+    CacheStore s;
+    ASSERT_TRUE(s.open(path_, 3, &err)) << err;
+    s.put(k, CacheStore::kVerdict, p1.data(), p1.size());
+    s.put(k, CacheStore::kProgram, p2.data(), p2.size());
+    ASSERT_TRUE(s.flush(&err)) << err;
+  }
+  std::vector<uint8_t> want = hand_built_record(k, CacheStore::kVerdict, p1);
+  auto second = hand_built_record(k, CacheStore::kProgram, p2);
+  want.insert(want.end(), second.begin(), second.end());
+  PageFile f;
+  ASSERT_TRUE(f.open(path_, page_format(3), &err)) << err;
+  ASSERT_EQ(f.data_end() - PageFile::kDataStart, want.size());
+  std::vector<uint8_t> got(want.size());
+  ASSERT_TRUE(f.read(PageFile::kDataStart, got.data(), got.size(), &err)) << err;
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(StoreTest, CacheStoreIndexesHandBuiltRecords) {
+  // The reverse direction: a log written byte for byte to the documented
+  // layout (as an older or newer build would write it) opens warm.
+  std::string err;
+  {
+    PageFile f;
+    ASSERT_TRUE(f.open(path_, page_format(3), &err)) << err;
+    for (uint64_t n = 0; n < 4; ++n) {
+      auto rec = hand_built_record(key_of(n), CacheStore::kVerdict,
+                                   payload_of(n, 100 + 3000 * n));
+      ASSERT_TRUE(f.append(rec.data(), rec.size(), &err)) << err;
+    }
+    ASSERT_TRUE(f.flush(&err)) << err;
+  }
+  CacheStore s;
+  ASSERT_TRUE(s.open(path_, 3, &err)) << err;
+  EXPECT_EQ(s.stats().entries, 4u);
+  for (uint64_t n = 0; n < 4; ++n) {
+    std::vector<std::vector<uint8_t>> got;
+    ASSERT_TRUE(s.get(key_of(n), CacheStore::kVerdict, &got)) << "key " << n;
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], payload_of(n, 100 + 3000 * n));
+  }
 }
 
 TEST_F(StoreTest, CacheStoreDedupsIdenticalRecordsAcrossRuns) {
