@@ -62,7 +62,9 @@ int repertoire_rank(stype::Repertoire r) {
 class Cmp {
  public:
   Cmp(const Graph& ga, const Graph& gb, const Options& opts)
-      : ga_(ga), gb_(gb), opts_(opts) {
+      : ga_(ga), gb_(gb), opts_(opts),
+        plan_(opts.cross != nullptr ? plan::PlanGraph(opts.cross->arena())
+                                    : plan::PlanGraph()) {
     // Phase 1 of a compare: structure hashing + canonical-id interning.
     obs::Span span("compare.canon");
     if (opts_.use_hash_prune && opts_.mode == Mode::Equivalence) {
@@ -147,32 +149,21 @@ class Cmp {
   // in both directions).
   using Key = std::tuple<bool, Ref, Ref>;
 
+  // Rollback truncates the plan's local layer only: proofs already
+  // published to the cache's arena are self-contained and stay valid.
   struct TrailSaver {
     Cmp& c;
     size_t trail_mark;
     size_t plan_mark;
-    size_t key_mark;
     explicit TrailSaver(Cmp& cmp)
         : c(cmp), trail_mark(cmp.trail_stack_.size()),
-          plan_mark(cmp.plan_.checkpoint()),
-          key_mark(cmp.key_stack_.size()) {}
+          plan_mark(cmp.plan_.checkpoint()) {}
     void rollback() {
       while (c.trail_stack_.size() > trail_mark) {
         c.trail_.erase(c.trail_stack_.back());
         c.trail_stack_.pop_back();
       }
       c.plan_.rollback(plan_mark);
-      // Key→ref records point into the plan graph; anything above the plan
-      // mark is about to be truncated (and the indices reused), so the
-      // records must go with it.
-      while (c.key_stack_.size() > key_mark) {
-        auto it = c.ref_by_key_.find(c.key_stack_.back());
-        if (it != c.ref_by_key_.end()) {
-          c.key_by_ref_.erase(it->second);
-          c.ref_by_key_.erase(it);
-        }
-        c.key_stack_.pop_back();
-      }
     }
   };
 
@@ -213,19 +204,6 @@ class Cmp {
     CanonId cy = sid_of(gy, y);
     if (cx == mtype::kNoCanon || cy == mtype::kNoCanon) return std::nullopt;
     return CrossCache::Key{cx, cy, fp_};
-  }
-
-  /// Remember that `r` is a complete, self-contained proof of strict pair
-  /// `k` in plan_. Only record proofs extract() accepted (or that came out
-  /// of a cached fragment, which passed extract() when it was built):
-  /// assumption-dependent successes can be rolled back, and their nodes
-  /// must never be wired into later splices. Rollback removes records via
-  /// key_stack_ (see TrailSaver).
-  void record_keyed(const CrossCache::Key& k, PlanRef r) {
-    if (ref_by_key_.emplace(k, r).second) {
-      key_by_ref_.emplace(r, k);
-      key_stack_.push_back(k);
-    }
   }
 
   // ---- flattening helpers respecting the rule toggles ----------------------
@@ -318,64 +296,55 @@ class Cmp {
     y = mtype::skip_var(*gy, y);
 
     Key key{gx == &ga_, x, y};
-    if (auto it = trail_.find(key); it != trail_.end()) return it->second;
+    // A trail entry may name a local node since published to the arena;
+    // forward() hands out the shared node instead.
+    if (auto it = trail_.find(key); it != trail_.end()) {
+      return plan_.forward(it->second);
+    }
 
     // Cross-pair cache: verdicts persisted by earlier Cmp instances (this
-    // batch, other sessions) keyed on strict canonical ids. Port-bearing
-    // fragments embed mtype refs, so their binding is the session's
-    // (ga_, gb_) pair — the refs' in_left flags are interpreted relative
-    // to the graph pair at consumption time.
+    // batch, other sessions, or this one) keyed on strict canonical ids. A
+    // hit is the proof's arena ref — nothing is copied into plan_.
+    // Port-bearing proofs embed mtype refs, so their binding is the
+    // session's (ga_, gb_) pair — the refs' in_left flags are interpreted
+    // relative to the graph pair at consumption time.
     auto ck = cross_key(gx, x, gy, y);
     if (ck) {
-      // A different (x, y) pair with the same strict key may already have
-      // a proof in this very plan graph — reuse the ref outright (the
-      // trail can't see it: trail keys are refs, not canonical ids).
-      if (auto kit = ref_by_key_.find(*ck); kit != ref_by_key_.end()) {
-        if (trail_.emplace(key, kit->second).second) trail_stack_.push_back(key);
-        return kit->second;
-      }
       if (auto hit = opts_.cross->find(*ck, &ga_, ver_a_, &gb_, ver_b_)) {
         if (!hit->ok) {
           note_mismatch(gx, x, gy, y, depth, "mismatch (cached verdict)");
           return plan::kNullPlan;
         }
-        std::vector<std::pair<CrossCache::Key, PlanRef>> learned;
         cmp_metrics().plan_splices.add();
-        PlanRef spliced =
-            CrossCache::splice(plan_, hit->frag, &ref_by_key_, &learned);
-        for (const auto& [lk, lr] : learned) record_keyed(lk, lr);
-        record_keyed(*ck, spliced);
-        if (trail_.emplace(key, spliced).second) trail_stack_.push_back(key);
-        return spliced;
+        if (trail_.emplace(key, hit->root).second) trail_stack_.push_back(key);
+        return hit->root;
       }
     }
 
     PlanRef result = visit_uncached(gx, x, gy, y, depth, key);
     if (result != plan::kNullPlan) {
-      // Memoize successful pairs (rollback-aware via the trail stack):
-      // shared sub-structure in DAG-shaped graphs is compared once, not
-      // once per occurrence. Recursive pairs self-register in
-      // visit_recursive before descending.
-      if (trail_.emplace(key, result).second) trail_stack_.push_back(key);
       if (ck && !opts_.cross->has(*ck, &ga_, ver_a_, &gb_, ver_b_)) {
-        // extract() refuses fragments referencing a mid-descent knot-tying
+        // extract() refuses plans referencing a mid-descent knot-tying
         // placeholder: those successes lean on an undischarged coinductive
-        // assumption and are not self-contained proofs.
-        if (auto frag = CrossCache::extract(plan_, result, &key_by_ref_)) {
+        // assumption and are not self-contained proofs. A published proof
+        // moves to the arena, and parents refer to it there.
+        if (auto v = CrossCache::extract(plan_, result, &*ck)) {
           cmp_metrics().plan_extracts.add();
-          auto v = std::make_shared<CrossCache::Variant>();
-          v->ok = true;
-          v->frag = std::move(*frag);
-          if (v->frag.has_port) {
+          if (v->has_port) {
             v->bind_left = &ga_;
             v->bind_right = &gb_;
             v->ver_left = ver_a_;
             v->ver_right = ver_b_;
           }
+          result = v->root;
           opts_.cross->insert(*ck, std::move(v));
-          record_keyed(*ck, result);
         }
       }
+      // Memoize successful pairs (rollback-aware via the trail stack):
+      // shared sub-structure in DAG-shaped graphs is compared once, not
+      // once per occurrence. Recursive pairs self-register in
+      // visit_recursive before descending.
+      if (trail_.emplace(key, result).second) trail_stack_.push_back(key);
     } else if (ck && !budget_hit_) {
       // Definitive structural failure. Trail assumptions only ever enable
       // successes, so failure under any trail is failure outright — but a
@@ -839,13 +808,6 @@ class Cmp {
   uint8_t fp_ = 0;
   uint64_t ver_a_ = 0, ver_b_ = 0;
   bool budget_hit_ = false;
-  // Strict-key → self-contained proof in plan_ (and its inverse), kept in
-  // lockstep with plan rollback via key_stack_. Drives sub-proof reuse in
-  // CrossCache::splice and interior provenance in CrossCache::extract.
-  std::unordered_map<CrossCache::Key, PlanRef, CrossCache::KeyHash>
-      ref_by_key_;
-  std::unordered_map<PlanRef, CrossCache::Key> key_by_ref_;
-  std::vector<CrossCache::Key> key_stack_;
   Mismatch best_;
   size_t steps_ = 0;
 

@@ -21,6 +21,8 @@ struct CacheMetrics {
   obs::Counter& prog_misses = obs::counter("crosscache.program.misses");
   obs::Counter& hydrated = obs::counter("crosscache.store.hydrated");
   obs::Counter& persisted = obs::counter("crosscache.store.persisted");
+  obs::Counter& nodes_minted = obs::counter("crosscache.plan.nodes_minted");
+  obs::Gauge& arena_nodes = obs::gauge("crosscache.plan.arena_nodes");
 };
 CacheMetrics& cache_metrics() {
   static CacheMetrics m;
@@ -28,9 +30,12 @@ CacheMetrics& cache_metrics() {
 }
 
 // A variant can go to disk iff it carries no process-local graph binding:
-// negative verdicts (empty fragment) and port-free positive fragments.
-bool persistable(const CrossCache::Variant& v) {
-  return !v.ok || !v.frag.has_port;
+// negative verdicts and port-free proofs.
+bool persistable(const CrossCache::Variant& v) { return !v.ok || !v.has_port; }
+
+void count_minted(const plan::PlanArena& arena, uint32_t minted) {
+  cache_metrics().nodes_minted.add(minted);
+  cache_metrics().arena_nodes.set(static_cast<int64_t>(arena.size()));
 }
 
 // Hydration staging: record payloads read from the store land in a
@@ -42,6 +47,8 @@ bool persistable(const CrossCache::Variant& v) {
 struct HydrationScratch {
   store::BumpArena arena;
   std::vector<store::PayloadView> payloads;
+  std::vector<plan::PlanNode> nodes;
+  std::vector<std::pair<uint32_t, CrossCache::Key>> keyed;
 };
 HydrationScratch& hydration_scratch() {
   thread_local HydrationScratch s;
@@ -51,11 +58,12 @@ HydrationScratch& hydration_scratch() {
 
 using mtype::CanonId;
 using mtype::CanonOptions;
-using plan::PKind;
 using plan::PlanNode;
 using plan::PlanRef;
 
-CrossCache::CrossCache() : strict_(CanonOptions::strict()) {}
+CrossCache::CrossCache()
+    : strict_(CanonOptions::strict()),
+      arena_(std::make_shared<plan::PlanArena>()) {}
 
 CrossCache::~CrossCache() = default;
 
@@ -109,7 +117,7 @@ uint8_t CrossCache::fingerprint(const Options& options) {
 
 bool CrossCache::compatible(const Variant& v, const void* lg, uint64_t lv,
                             const void* rg, uint64_t rv) {
-  if (v.ok && v.frag.has_port) {
+  if (v.ok && v.has_port) {
     return v.bind_left == lg && v.ver_left == lv && v.bind_right == rg &&
            v.ver_right == rv;
   }
@@ -187,157 +195,18 @@ void CrossCache::insert(const Key& key, std::shared_ptr<const Variant> v) {
   insert_locked(s, key, std::move(v));
 }
 
-std::unique_ptr<CrossCache::Fragment> CrossCache::extract(
-    const plan::PlanGraph& g, PlanRef root,
-    const std::unordered_map<PlanRef, Key>* provenance) {
-  auto frag = std::make_unique<Fragment>();
-  // Discovery-order BFS assigning fragment-local indices.
-  std::unordered_map<PlanRef, uint32_t> local;
-  std::vector<PlanRef> order;
-  auto visit = [&](PlanRef r) -> bool {
-    if (r == plan::kNullPlan) return false;
-    if (local.emplace(r, static_cast<uint32_t>(order.size())).second) {
-      order.push_back(r);
-    }
-    return true;
-  };
-  if (!visit(root)) return nullptr;
-  for (size_t i = 0; i < order.size(); ++i) {
-    const PlanNode& n = g.at(order[i]);
-    switch (n.kind) {
-      case PKind::ListMap:
-      case PKind::PortMap:
-      case PKind::Alias:
-        // inner == kNullPlan means the knot is still being tied (we are
-        // inside the recursive descent that will attach it): not a
-        // self-contained proof, so refuse to cache.
-        if (!visit(n.inner)) return nullptr;
-        if (n.kind == PKind::PortMap) frag->has_port = true;
-        break;
-      case PKind::RecordMap:
-      case PKind::Extract:
-        for (const auto& f : n.fields) {
-          if (!visit(f.op)) return nullptr;
-        }
-        break;
-      case PKind::ChoiceMap:
-        for (const auto& a : n.arms) {
-          if (!visit(a.op)) return nullptr;
-        }
-        break;
-      default: break;
-    }
-  }
-  frag->nodes.reserve(order.size());
-  for (PlanRef r : order) {
-    PlanNode n = g.at(r);  // copy, then rewrite refs to local indices
-    switch (n.kind) {
-      case PKind::ListMap:
-      case PKind::PortMap:
-      case PKind::Alias: n.inner = local.at(n.inner); break;
-      case PKind::RecordMap:
-      case PKind::Extract:
-        for (auto& f : n.fields) f.op = local.at(f.op);
-        break;
-      case PKind::ChoiceMap:
-        for (auto& a : n.arms) a.op = local.at(a.op);
-        break;
-      default: break;
-    }
-    frag->nodes.push_back(std::move(n));
-  }
-  frag->root = 0;  // root discovered first
-  if (provenance != nullptr) {
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (auto it = provenance->find(order[i]); it != provenance->end()) {
-        frag->keyed.emplace_back(static_cast<uint32_t>(i), it->second);
-      }
-    }
-  }
-  return frag;
-}
-
-PlanRef CrossCache::splice(
-    plan::PlanGraph& g, const Fragment& f,
-    const std::unordered_map<Key, PlanRef, KeyHash>* known,
-    std::vector<std::pair<Key, PlanRef>>* learned) {
-  const auto n = static_cast<uint32_t>(f.nodes.size());
-  // Fragment-local nodes whose strict-key proof already lives in g: wire
-  // the existing ref in rather than copying the region again.
-  std::unordered_map<uint32_t, PlanRef> present;
-  std::unordered_map<uint32_t, const Key*> key_at;
-  if (!f.keyed.empty()) {
-    for (const auto& [idx, key] : f.keyed) {
-      key_at.emplace(idx, &key);
-      if (known != nullptr) {
-        if (auto it = known->find(key); it != known->end()) {
-          present.emplace(idx, it->second);
-        }
-      }
-    }
-  }
-  if (auto it = present.find(f.root); it != present.end()) return it->second;
-
-  // Copy only what the root still needs: reachability that stops at
-  // already-present nodes (their subtrees stay shared, not re-copied).
-  std::vector<char> need(n, 0);
-  std::vector<uint32_t> stack{f.root};
-  need[f.root] = 1;
-  auto push = [&](uint32_t c) {
-    if (need[c] != 0 || present.count(c) != 0) return;
-    need[c] = 1;
-    stack.push_back(c);
-  };
-  while (!stack.empty()) {
-    const PlanNode& nd = f.nodes[stack.back()];
-    stack.pop_back();
-    switch (nd.kind) {
-      case PKind::ListMap:
-      case PKind::PortMap:
-      case PKind::Alias: push(nd.inner); break;
-      case PKind::RecordMap:
-      case PKind::Extract:
-        for (const auto& fm : nd.fields) push(fm.op);
-        break;
-      case PKind::ChoiceMap:
-        for (const auto& a : nd.arms) push(a.op);
-        break;
-      default: break;
-    }
-  }
-
-  // Two passes: refs are assigned up front because fragments may contain
-  // back-edges (cyclic plans).
-  std::vector<PlanRef> map(n, plan::kNullPlan);
-  for (const auto& [idx, ref] : present) map[idx] = ref;
-  auto next = static_cast<PlanRef>(g.size());
-  for (uint32_t i = 0; i < n; ++i) {
-    if (need[i] != 0) map[i] = next++;
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (need[i] == 0) continue;
-    PlanNode nd = f.nodes[i];
-    switch (nd.kind) {
-      case PKind::ListMap:
-      case PKind::PortMap:
-      case PKind::Alias: nd.inner = map[nd.inner]; break;
-      case PKind::RecordMap:
-      case PKind::Extract:
-        for (auto& fm : nd.fields) fm.op = map[fm.op];
-        break;
-      case PKind::ChoiceMap:
-        for (auto& a : nd.arms) a.op = map[a.op];
-        break;
-      default: break;
-    }
-    g.add(std::move(nd));
-    if (learned != nullptr) {
-      if (auto it = key_at.find(i); it != key_at.end()) {
-        learned->emplace_back(*it->second, map[i]);
-      }
-    }
-  }
-  return map[f.root];
+std::shared_ptr<CrossCache::Variant> CrossCache::extract(plan::PlanGraph& g,
+                                                        PlanRef root,
+                                                        const Key* proves) {
+  const plan::PlanGraph::Published pub =
+      g.publish(root, proves != nullptr ? *proves : Key{});
+  if (pub.root == plan::kNullPlan) return nullptr;
+  count_minted(*g.shared(), pub.minted);
+  auto v = std::make_shared<Variant>();
+  v->ok = true;
+  v->root = pub.root;
+  v->has_port = pub.has_port;
+  return v;
 }
 
 std::shared_ptr<const planir::Program> CrossCache::find_program(
@@ -471,11 +340,13 @@ void CrossCache::WriteBuffer::flush() {
 //   u32 n_keyed, then per entry: u32 local index, 16B+16B stable ids, u8 fp
 //   plan-node vector (store/serial.hpp codec; empty for negative verdicts)
 //
-// Keyed sub-proof entries are translated CanonId<->StableId at the
-// boundary. On hydration, an entry whose stable ids have no CanonId in
-// this process yet is dropped from the keyed list — the fragment stays
-// fully valid, it merely loses DAG-sharing hints for classes this process
-// has not interned.
+// A positive verdict is written as the fragment its arena root reaches,
+// numbered in discovery order from the root (so root = 0); keyed entries
+// are the non-root nodes that are themselves published proofs. Keys are
+// translated CanonId<->StableId at the boundary. On hydration, a keyed
+// entry whose proof this process already holds is wired in rather than
+// appended again; one whose stable ids have no CanonId here yet is
+// dropped — the fragment stays fully valid, it merely shares less.
 
 void CrossCache::attach_store(store::CacheStore* s) { store_ = s; }
 
@@ -493,19 +364,37 @@ bool CrossCache::stable_key(const Key& key, mtype::StableId* left,
 void CrossCache::persist_variant(const Key& key, const Variant& v) {
   mtype::StableId sl, sr;
   if (!stable_key(key, &sl, &sr)) return;
+  // The fragment: arena nodes reachable from the root, discovery order.
+  thread_local std::vector<PlanRef> order;
+  thread_local std::unordered_map<PlanRef, uint32_t> local;
+  order.clear();
+  local.clear();
+  auto visit = [&](PlanRef r) {
+    if (local.emplace(r, static_cast<uint32_t>(order.size())).second) {
+      order.push_back(r);
+    }
+  };
+  if (v.ok) visit(v.root);
+  for (size_t i = 0; i < order.size(); ++i) {
+    plan::for_each_child(arena_->slot(plan::shared_index(order[i])).node,
+                         visit);
+  }
   store::ByteWriter w;
   w.u8(v.ok ? 1 : 0);
-  w.u32(v.frag.root);
+  w.u32(0);  // root
   // Count translatable keyed entries first (degenerate-keyed sub-proofs
   // cannot exist, but belt-and-braces: skip untranslatable ones).
-  std::vector<std::tuple<uint32_t, mtype::StableId, mtype::StableId, uint8_t>>
+  thread_local std::vector<
+      std::tuple<uint32_t, mtype::StableId, mtype::StableId, uint8_t>>
       keyed;
-  keyed.reserve(v.frag.keyed.size());
-  for (const auto& [idx, k] : v.frag.keyed) {
-    mtype::StableId kl = strict_.stable_id(k.left);
-    mtype::StableId kr = strict_.stable_id(k.right);
+  keyed.clear();
+  for (uint32_t i = 1; i < order.size(); ++i) {
+    const Key& p = arena_->slot(plan::shared_index(order[i])).proves;
+    if (p.left == Key::kNoProof) continue;
+    mtype::StableId kl = strict_.stable_id(p.left);
+    mtype::StableId kr = strict_.stable_id(p.right);
     if (kl.is_null() || kr.is_null()) continue;
-    keyed.emplace_back(idx, kl, kr, k.fp);
+    keyed.emplace_back(i, kl, kr, p.fp);
   }
   w.u32(static_cast<uint32_t>(keyed.size()));
   for (const auto& [idx, kl, kr, fp] : keyed) {
@@ -516,8 +405,11 @@ void CrossCache::persist_variant(const Key& key, const Variant& v) {
     w.u64(kr.lo);
     w.u8(fp);
   }
-  static const std::vector<plan::PlanNode> kNoNodes;
-  store::encode_plan_nodes(w, v.ok ? v.frag.nodes : kNoNodes);
+  w.u32(static_cast<uint32_t>(order.size()));
+  for (PlanRef r : order) {
+    store::encode_plan_node(w, arena_->slot(plan::shared_index(r)).node,
+                            [&](PlanRef c) { return local.at(c); });
+  }
   store_->put({sl, sr, key.fp}, store::CacheStore::kVerdict, w.data().data(),
               w.data().size());
   cache_metrics().persisted.add();
@@ -532,6 +424,50 @@ void CrossCache::persist_program(const Key& key, const planir::Program& prog) {
   store_->put({sl, sr, key.fp}, store::CacheStore::kProgram, w.data().data(),
               w.data().size());
   cache_metrics().persisted.add();
+}
+
+PlanRef CrossCache::portable_proof(const Key& key) {
+  Shard& s = shard_for(key);
+  std::shared_lock lock(s.mu);
+  auto it = s.map.find(key);
+  if (it == s.map.end()) return plan::kNullPlan;
+  for (const auto& v : it->second) {
+    if (v->ok && !v->has_port) return v->root;
+  }
+  return plan::kNullPlan;
+}
+
+PlanRef CrossCache::hydrate(std::vector<PlanNode>& nodes, uint32_t root,
+                            const std::vector<std::pair<uint32_t, Key>>& keyed) {
+  // A crc-valid record can still be malformed: every ref must address
+  // the fragment, or the record degrades to a miss. Keyed sub-proofs this
+  // cache already holds are wired in; publish() then moves only what the
+  // root still needs beyond them.
+  const auto n = static_cast<uint32_t>(nodes.size());
+  bool in_range = root < n;
+  for (auto& nd : nodes) {
+    plan::for_each_child(nd, [&](PlanRef c) { in_range &= c < n; });
+  }
+  if (!in_range) return plan::kNullPlan;
+  std::vector<PlanRef> present(n, plan::kNullPlan);
+  for (const auto& [idx, k] : keyed) present[idx] = portable_proof(k);
+  if (present[root] != plan::kNullPlan) return present[root];
+  for (auto& nd : nodes) {
+    plan::for_each_child(nd, [&](PlanRef& c) {
+      if (present[c] != plan::kNullPlan) c = present[c];
+    });
+  }
+  plan::PlanGraph g(arena_, std::move(nodes));
+  const plan::PlanGraph::Published pub = g.publish(root);
+  if (pub.root == plan::kNullPlan) return plan::kNullPlan;
+  for (const auto& [idx, k] : keyed) {
+    const PlanRef moved = g.forward(idx);
+    if (plan::is_shared(moved) && present[idx] == plan::kNullPlan) {
+      arena_->slot_mut(plan::shared_index(moved)).proves = k;
+    }
+  }
+  count_minted(*arena_, pub.minted);
+  return pub.root;
 }
 
 std::shared_ptr<const CrossCache::Variant> CrossCache::load_variants_from_store(
@@ -549,9 +485,9 @@ std::shared_ptr<const CrossCache::Variant> CrossCache::load_variants_from_store(
     store::ByteReader r(p.data, p.len);
     auto v = std::make_shared<Variant>();
     v->ok = r.u8() != 0;
-    v->frag.root = r.u32();
+    const uint32_t root = r.u32();
     uint32_t nk = r.len_capped(r.u32(), 37);
-    v->frag.keyed.reserve(nk);
+    hs.keyed.clear();
     for (uint32_t i = 0; i < nk && r.ok(); ++i) {
       uint32_t idx = r.u32();
       mtype::StableId kl{r.u64(), r.u64()};
@@ -560,16 +496,16 @@ std::shared_ptr<const CrossCache::Variant> CrossCache::load_variants_from_store(
       mtype::CanonId cl = strict_.canon_of(kl);
       mtype::CanonId cr = strict_.canon_of(kr);
       if (cl == mtype::kNoCanon || cr == mtype::kNoCanon) continue;
-      v->frag.keyed.emplace_back(idx, Key{cl, cr, fp});
+      hs.keyed.emplace_back(idx, Key{cl, cr, fp});
     }
-    if (!r.ok() || !store::decode_plan_nodes(r, &v->frag.nodes)) continue;
-    if (v->ok && (v->frag.nodes.empty() || v->frag.root >= v->frag.nodes.size())) {
-      continue;
-    }
+    if (!r.ok() || !store::decode_plan_nodes(r, &hs.nodes)) continue;
     // Keyed indices must address fragment nodes; drop stragglers.
-    std::erase_if(v->frag.keyed, [&](const auto& e) {
-      return e.first >= v->frag.nodes.size();
-    });
+    std::erase_if(hs.keyed,
+                  [&](const auto& e) { return e.first >= hs.nodes.size(); });
+    if (v->ok) {
+      v->root = hydrate(hs.nodes, root, hs.keyed);
+      if (v->root == plan::kNullPlan) continue;
+    }
     cache_metrics().hydrated.add();
     std::shared_ptr<const Variant> cv = std::move(v);
     if (first == nullptr) first = cv;
@@ -588,10 +524,8 @@ CrossCache::Stats CrossCache::stats() const {
   for (Shard& s : shards_) {
     std::shared_lock lock(s.mu);
     st.entries += s.map.size();
-    for (const auto& [key, variants] : s.map) {
-      for (const auto& v : variants) st.fragment_nodes += v->frag.nodes.size();
-    }
   }
+  st.fragment_nodes = arena_->size();
   {
     std::shared_lock lock(prog_mu_);
     st.programs = programs_.size();

@@ -7,20 +7,29 @@
 //   * canonical-id indexes (mtype::CanonIndex) — one strict index keying
 //     the memo, plus per-option iso indexes the Comparer uses to order
 //     record/choice candidates;
-//   * pair verdicts and emitted plan fragments, keyed on
-//     (strict canonical id left, strict canonical id right, Options
-//     fingerprint). Strict ids identify types up to concrete layout, so a
-//     fragment built for one pair converts values of every other pair in
-//     the same key — a batch of N related pairs pays for each shared
-//     subproof once globally, not once per session;
+//   * pair verdicts, keyed on (strict canonical id left, strict canonical
+//     id right, Options fingerprint). Strict ids identify types up to
+//     concrete layout, so a proof built for one pair converts values of
+//     every other pair in the same key — a batch of N related pairs pays
+//     for each shared subproof once globally, not once per session;
+//   * one append-only plan arena (plan::PlanArena) holding every proof.
+//     A positive verdict names its arena root; a cache hit is that ref,
+//     and a new proof moves into the arena only the nodes its comparison
+//     built — sub-proofs it reused are already there and stay shared, so
+//     a plan is a DAG over earlier plans, never a copy of them;
 //   * compiled convert-mode PlanIR programs for top-level pairs (the
 //     batch driver's per-pair compile step).
 //
 // Soundness notes (the sharp edges live here, not in the data structure):
-//   * Fragments containing PortMap nodes embed mtype::Refs into the two
+//   * Proofs containing PortMap nodes embed mtype::Refs into the two
 //     compared graphs, so such entries carry a (graph pointer, version)
 //     binding and only hit for comparisons over the same graph pair in
-//     the same orientation. Port-free fragments are portable.
+//     the same orientation. Port-free proofs are portable. Both kinds
+//     live in the one arena; only the binding differs.
+//   * Only self-contained proofs are published: a plan that still leans
+//     on an open coinductive assumption (a knot whose body is being
+//     built) is refused, and so stays in the comparison's local layer,
+//     where rollback can discard it. Arena nodes are immutable.
 //   * Negative entries are recorded only for runs that never tripped the
 //     step budget (a budget failure is not a structural verdict).
 //   * The fingerprint covers mode + the three isomorphism toggles;
@@ -36,6 +45,11 @@
 // CanonIndex behind a sharded read-mostly memo (see canon.hpp), so
 // steady-state operation is short shared-lock critical sections — no
 // global lock anywhere on the warm path. Counters are relaxed atomics.
+//
+// The arena takes one lock per published proof (a contiguous reserve);
+// readers take none. A proof's nodes are written before the variant
+// naming them is inserted under its shard lock, which is what makes them
+// visible to other threads.
 //
 // For write-heavy phases (a cold batch filling the cache), WriteBuffer
 // gives each worker a local staging area whose flush() applies entries
@@ -87,12 +101,9 @@ class CrossCache {
 
   // ---- pair memo -----------------------------------------------------------
 
-  struct Key {
-    mtype::CanonId left = mtype::kNoCanon;
-    mtype::CanonId right = mtype::kNoCanon;
-    uint8_t fp = 0;
-    [[nodiscard]] bool operator==(const Key&) const = default;
-  };
+  /// Memo key: strict canonical ids of the two sides + options
+  /// fingerprint. Arena nodes that prove a key carry it (PlanArena::Slot).
+  using Key = plan::ProofKey;
 
   struct KeyHash {
     size_t operator()(const Key& k) const {
@@ -104,27 +115,14 @@ class CrossCache {
     }
   };
 
-  /// A reusable coercion-plan subgraph. Node refs are fragment-local
-  /// (index into `nodes`); splice() rebases them into a target PlanGraph.
-  ///
-  /// `keyed` records interior provenance: fragment-local nodes that are
-  /// themselves complete proofs of a strict-key pair. splice() uses it to
-  /// reuse sub-proofs the consumer plan already contains instead of
-  /// copying them again — without this, sibling splices of overlapping
-  /// fragments lose all DAG sharing and fragment sizes grow
-  /// superpolynomially on densely inter-linked declaration sets (the
-  /// chain-of-classes workload makes s(k) = s(k-1) + s(k/2) + O(1)).
-  struct Fragment {
-    std::vector<plan::PlanNode> nodes;
-    uint32_t root = 0;
-    bool has_port = false;
-    std::vector<std::pair<uint32_t, Key>> keyed;
-  };
-
+  /// A pair verdict. A positive one names its proof: a node of this
+  /// cache's shared plan arena (see arena()), which every consumer plan
+  /// refers to instead of copying.
   struct Variant {
     bool ok = false;
-    Fragment frag;  // valid when ok
-    // Graph binding for port-bearing fragments; null/0 when portable.
+    plan::PlanRef root = plan::kNullPlan;  // shared ref when ok
+    bool has_port = false;                 // the proof contains a PortMap
+    // Graph binding for port-bearing proofs; null/0 when portable.
     const void* bind_left = nullptr;
     const void* bind_right = nullptr;
     uint64_t ver_left = 0;
@@ -147,27 +145,20 @@ class CrossCache {
   /// Record a verdict. Duplicate-compatible inserts are dropped.
   void insert(const Key& key, std::shared_ptr<const Variant> v);
 
-  /// Extract the plan subgraph rooted at `root` as a portable fragment.
-  /// Returns nullptr if the subgraph is mid-construction (a knot-tying
-  /// Alias/ListMap whose body is not yet attached) and must not be cached.
-  /// `provenance`, when given, maps plan refs to the strict-key pair they
-  /// prove (the extracting Comparer's bookkeeping); matching interior
-  /// nodes are recorded in the fragment's `keyed` list.
-  [[nodiscard]] static std::unique_ptr<Fragment> extract(
-      const plan::PlanGraph& g, plan::PlanRef root,
-      const std::unordered_map<plan::PlanRef, Key>* provenance = nullptr);
+  /// The plan arena every proof of this cache lives in. Plans built
+  /// against this cache are PlanGraphs over it; they keep it alive.
+  [[nodiscard]] const std::shared_ptr<plan::PlanArena>& arena() const {
+    return arena_;
+  }
 
-  /// Splice a fragment into `g`, rebasing fragment-local refs. Returns the
-  /// new root. Appended nodes participate in g's checkpoint/rollback.
-  /// `known`, when given, maps strict keys to sub-proofs already present
-  /// in `g`: fragment regions rooted at a known key are not copied — the
-  /// existing ref is wired in instead (this is what preserves DAG sharing
-  /// across sibling splices). Newly appended keyed nodes are reported via
-  /// `learned` so the caller can extend its maps (rollback-aware).
-  static plan::PlanRef splice(
-      plan::PlanGraph& g, const Fragment& f,
-      const std::unordered_map<Key, plan::PlanRef, KeyHash>* known = nullptr,
-      std::vector<std::pair<Key, plan::PlanRef>>* learned = nullptr);
+  /// Publish the plan rooted at `root` into g's arena as a positive
+  /// verdict proving `proves`: only the local nodes this plan built move
+  /// (PlanGraph::publish), and the returned variant names the arena root.
+  /// Returns nullptr — moving nothing — if g has no arena or the subgraph
+  /// is mid-construction (a knot-tying Alias/ListMap whose body is not
+  /// yet attached), which must not be cached.
+  [[nodiscard]] static std::shared_ptr<Variant> extract(
+      plan::PlanGraph& g, plan::PlanRef root, const Key* proves = nullptr);
 
   // ---- compiled-program memo ----------------------------------------------
 
@@ -186,7 +177,9 @@ class CrossCache {
   ///     CanonId space; untranslatable records stay dormant — sound, just
   ///     cold);
   ///   * inserts of PERSISTABLE entries (negative verdicts, port-free
-  ///     fragments, convert-mode programs) write through to the store.
+  ///     proofs, convert-mode programs) write through to the store. A
+  ///     proof is written as a fragment encoded straight from the arena;
+  ///     hydration appends it to the arena, reusing proofs already there.
   /// Port-bearing variants and marshal-mode programs bind process-local
   /// graph pointers and never touch disk. Hydrated programs are re-verified
   /// (planir::verify) before use; failures degrade to a miss.
@@ -249,7 +242,7 @@ class CrossCache {
     size_t misses = 0;
     size_t inserts = 0;
     size_t entries = 0;
-    size_t fragment_nodes = 0;  // summed stored-fragment sizes
+    size_t fragment_nodes = 0;  // plan-arena nodes
     size_t programs = 0;
     size_t strict_classes = 0;
     size_t interned_nodes = 0;
@@ -285,12 +278,21 @@ class CrossCache {
   [[nodiscard]] std::shared_ptr<const Variant> load_variants_from_store(
       const Key& key);
   void persist_variant(const Key& key, const Variant& v);
+  /// Arena root of a portable proof of `key` held in memory, or kNullPlan.
+  [[nodiscard]] plan::PlanRef portable_proof(const Key& key);
+  /// Append a decoded fragment to the arena (moving its nodes out of
+  /// `nodes`), wiring keyed sub-proofs already held in instead of
+  /// appending them. Returns the arena root, or kNullPlan if malformed.
+  [[nodiscard]] plan::PlanRef hydrate(
+      std::vector<plan::PlanNode>& nodes, uint32_t root,
+      const std::vector<std::pair<uint32_t, Key>>& keyed);
   void persist_program(const Key& key, const planir::Program& prog);
   /// Stable-id pair for a memo key (null components when degenerate).
   [[nodiscard]] bool stable_key(const Key& key, mtype::StableId* left,
                                 mtype::StableId* right);
 
   mtype::CanonIndex strict_;
+  std::shared_ptr<plan::PlanArena> arena_;
   std::shared_mutex iso_mu_;
   std::vector<std::pair<mtype::CanonOptions, std::unique_ptr<mtype::CanonIndex>>>
       iso_;

@@ -1,7 +1,9 @@
 #include "plan/plan.hpp"
 
+#include <new>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace mbird::plan {
@@ -33,7 +35,10 @@ void print_node(const PlanGraph& g, PlanRef r, int depth,
     return;
   }
   const PlanNode& n = g.at(r);
-  os << pad << '#' << r << ' ' << to_string(n.kind);
+  os << pad << '#';
+  if (is_shared(r)) os << 's' << shared_index(r);
+  else os << r;
+  os << ' ' << to_string(n.kind);
   if (!n.note.empty()) os << " (" << n.note << ')';
   if (seen.count(r)) {
     os << " ^cycle\n";
@@ -88,6 +93,125 @@ void count_shape_leaves(const RecShape& s, std::set<uint32_t>& leaves) {
 
 }  // namespace
 
+PlanArena::~PlanArena() {
+  const auto n = static_cast<uint32_t>(size());
+  for (uint32_t i = 0; i < n; ++i) locate(i)->~Slot();
+  for (auto& c : chunks_) ::operator delete(c.load(std::memory_order_relaxed));
+}
+
+uint32_t PlanArena::reserve(uint32_t n) {
+  // Refs carry the index below kSharedBit, and the top of that range is
+  // left free for PlanGraph::publish's in-walk marker.
+  constexpr size_t kMaxSlots = kSharedBit - 2;
+  size_t base;
+  {
+    std::lock_guard lock(mu_);
+    base = size_.load(std::memory_order_relaxed);
+    if (base + n > kMaxSlots) throw std::length_error("plan arena full");
+    if (n == 0) return static_cast<uint32_t>(base);
+    // Chunks fill in order, so every chunk below the last one needed is
+    // already there once one is found allocated.
+    for (unsigned k = chunk_of(static_cast<uint32_t>(base + n - 1));
+         chunks_[k].load(std::memory_order_relaxed) == nullptr; --k) {
+      chunks_[k].store(
+          static_cast<Slot*>(::operator new(sizeof(Slot) * chunk_len(k))),
+          std::memory_order_release);
+      if (k == 0) break;
+    }
+    size_.store(base + n, std::memory_order_release);
+  }
+  for (size_t i = base; i < base + n; ++i) {
+    new (locate(static_cast<uint32_t>(i))) Slot();
+  }
+  return static_cast<uint32_t>(base);
+}
+
+PlanNode& PlanGraph::at_mut(PlanRef r) {
+  if (is_shared(r)) {
+    throw std::logic_error("plan node #s" + std::to_string(shared_index(r)) +
+                           " is shared and cannot be edited in place");
+  }
+  return nodes_[r];
+}
+
+PlanGraph::Published PlanGraph::publish(PlanRef root, const ProofKey& proves) {
+  Published out;
+  if (shared_ == nullptr || root == kNullPlan) return out;
+  if (is_shared(forward(root))) {
+    out.root = forward(root);
+    out.has_port = shared_->slot(shared_index(out.root)).reaches_port;
+    return out;
+  }
+  // Pass 1: the local closure, in discovery order (root first). moved_
+  // doubles as the visited mark; a refusal clears what it marked.
+  constexpr PlanRef kInWalk = kNullPlan - 1;
+  moved_.resize(nodes_.size(), kNullPlan);
+  thread_local std::vector<PlanRef> order;
+  order.clear();
+  bool complete = true;
+  auto visit = [&](PlanRef c) {
+    if (c == kNullPlan || (!is_shared(c) && c >= nodes_.size())) {
+      complete = false;
+    } else if (!is_shared(c) && moved_[c] == kNullPlan) {
+      moved_[c] = kInWalk;
+      order.push_back(c);
+    }
+  };
+  visit(root);
+  for (size_t i = 0; i < order.size() && complete; ++i) {
+    for_each_child(nodes_[order[i]], visit);
+  }
+  if (!complete) {
+    for (PlanRef r : order) moved_[r] = kNullPlan;
+    return out;
+  }
+
+  // Pass 2: one reservation, then move and rebase. Back-edges inside the
+  // closure resolve because every moved node's arena ref is known first.
+  const auto n = static_cast<uint32_t>(order.size());
+  uint32_t base = 0;
+  try {
+    base = shared_->reserve(n);
+  } catch (...) {
+    for (PlanRef r : order) moved_[r] = kNullPlan;
+    throw;
+  }
+  for (uint32_t i = 0; i < n; ++i) moved_[order[i]] = shared_ref(base + i);
+  for (uint32_t i = 0; i < n; ++i) {
+    PlanArena::Slot& s = shared_->slot_mut(base + i);
+    s.node = std::move(nodes_[order[i]]);
+    s.reaches_port = s.node.kind == PKind::PortMap;
+    for_each_child(s.node, [&](PlanRef& c) {
+      c = forward(c);
+      if (shared_index(c) < base) {
+        s.reaches_port |= shared_->slot(shared_index(c)).reaches_port;
+      }
+    });
+    PlanNode husk;
+    husk.kind = PKind::Alias;
+    husk.inner = moved_[order[i]];
+    nodes_[order[i]] = std::move(husk);
+  }
+  // Port reachability inside the new range (it may contain cycles).
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (uint32_t i = 0; i < n; ++i) {
+      PlanArena::Slot& s = shared_->slot_mut(base + i);
+      if (s.reaches_port) continue;
+      for_each_child(s.node, [&](PlanRef c) {
+        if (shared_index(c) >= base && shared_->slot(shared_index(c)).reaches_port) {
+          s.reaches_port = changed = true;
+        }
+      });
+    }
+  }
+  shared_->slot_mut(base).proves = proves;
+  out.root = shared_ref(base);
+  out.has_port = shared_->slot(base).reaches_port;
+  out.minted = n;
+  return out;
+}
+
 PlanRef make_custom(PlanGraph& g, const std::string& converter_name) {
   PlanNode n;
   n.kind = PKind::Custom;
@@ -97,7 +221,7 @@ PlanRef make_custom(PlanGraph& g, const std::string& converter_name) {
 
 bool replace_field_op(PlanGraph& g, PlanRef record_node, const mtype::Path& dst,
                       PlanRef replacement) {
-  if (record_node >= g.size()) return false;
+  if (!g.contains(record_node) || is_shared(record_node)) return false;
   PlanNode& n = g.at_mut(record_node);
   if (n.kind != PKind::RecordMap) return false;
   for (auto& f : n.fields) {
@@ -125,7 +249,7 @@ std::vector<std::string> validate(const PlanGraph& g, PlanRef root) {
   std::unordered_set<PlanRef> visited;
   std::vector<PlanRef> work{root};
   auto check_ref = [&](PlanRef r, const std::string& what) {
-    if (r == kNullPlan || r >= g.size()) {
+    if (!g.contains(r)) {
       problems.push_back(what + ": bad plan ref");
       return false;
     }
@@ -136,8 +260,7 @@ std::vector<std::string> validate(const PlanGraph& g, PlanRef root) {
   while (!work.empty()) {
     PlanRef r = work.back();
     work.pop_back();
-    if (r >= g.size()) continue;
-    if (visited.count(r)) continue;
+    if (!g.contains(r) || visited.count(r)) continue;
     visited.insert(r);
     const PlanNode& n = g.at(r);
     std::string where = "#" + std::to_string(r);

@@ -97,7 +97,7 @@ class NativeCompiler {
       if (r == plan::kNullPlan) {
         throw IrError(IrFault::NullPlan, "null plan reference");
       }
-      if (r >= plan_.size()) {
+      if (!plan_.contains(r)) {
         throw IrError(IrFault::OperandRange,
                       "plan reference " + std::to_string(r) + " out of range");
       }

@@ -5,6 +5,7 @@
 
 #include "codegen/stubcache.hpp"
 #include "lower/lower.hpp"
+#include "obs/metrics.hpp"
 #include "planir/planir.hpp"
 #include "store/cachestore.hpp"
 
@@ -36,6 +37,21 @@ Module* find_decl(std::vector<Module>& modules, const std::string& spec,
     if (m.find(head) != nullptr) return &m;
   }
   return nullptr;
+}
+
+// The compile-side waterfall of one pair that missed the memo fast path
+// (DESIGN.md §4h): comparer walk (cache hits and publishing included),
+// PlanIR compile + verify, and the program memo insert with its store
+// write-through. Behind metrics_on(), like every timed instrument.
+struct CompileMetrics {
+  obs::Histogram& compare_ns = obs::histogram("service.compile.compare_ns");
+  obs::Histogram& planir_ns = obs::histogram("service.compile.planir_ns");
+  obs::Histogram& persist_ns =
+      obs::histogram("service.compile.program_persist_ns");
+};
+CompileMetrics& compile_metrics() {
+  static CompileMetrics m;
+  return m;
 }
 
 }  // namespace
@@ -128,7 +144,12 @@ PairOutcome compile_pair(const mtype::Graph& ga, mtype::Ref ra,
     }
   }
 
-  auto full = compare::compare_full(ga, ra, gb, rb, base);
+  CompileMetrics& cm = compile_metrics();
+  compare::FullResult full;
+  {
+    obs::ScopedTimer t(cm.compare_ns);
+    full = compare::compare_full(ga, ra, gb, rb, base);
+  }
   o.verdict = full.verdict;
   o.steps = full.to_right.steps + full.to_left.steps;
   if (o.verdict == compare::Verdict::Mismatch && full.to_right.mismatch.valid) {
@@ -140,11 +161,16 @@ PairOutcome compile_pair(const mtype::Graph& ga, mtype::Ref ra,
     if (prog) {
       o.program_cached = true;
     } else {
-      auto compiled = std::make_shared<planir::Program>(
-          planir::compile(full.to_right.plan, full.to_right.root));
-      planir::require_valid(*compiled);
+      std::shared_ptr<planir::Program> compiled;
+      {
+        obs::ScopedTimer t(cm.planir_ns);
+        compiled = std::make_shared<planir::Program>(
+            planir::compile(full.to_right.plan, full.to_right.root));
+        planir::require_valid(*compiled);
+      }
       prog = compiled;
       if (keyed) {
+        obs::ScopedTimer t(cm.persist_ns);
         if (wb != nullptr) {
           wb->insert_program(prog_key, prog);
         } else {

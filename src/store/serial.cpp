@@ -95,23 +95,26 @@ void encode_move(ByteWriter& w, const mtype::Path& src, const mtype::Path& dst,
 
 }  // namespace
 
-void encode_plan_nodes(ByteWriter& w, const std::vector<plan::PlanNode>& nodes) {
-  w.u32(static_cast<uint32_t>(nodes.size()));
-  for (const auto& n : nodes) {
-    // PortMap carries graph refs; callers must filter port-bearing
-    // fragments out before encoding. Encode the kind anyway — the decoder
-    // rejects it, so a slipped-through port entry degrades to a miss.
-    w.u8(static_cast<uint8_t>(n.kind));
-    w.i128(n.lo);
-    w.i128(n.hi);
-    w.u32(static_cast<uint32_t>(n.fields.size()));
-    for (const auto& f : n.fields) encode_move(w, f.src_path, f.dst_path, f.op);
-    encode_shape(w, n.dst_shape);
-    w.u32(static_cast<uint32_t>(n.arms.size()));
-    for (const auto& a : n.arms) encode_move(w, a.src_path, a.dst_path, a.op);
-    w.u32(n.inner);
-    w.str(n.note);
+void encode_plan_node(ByteWriter& w, const plan::PlanNode& n,
+                      const std::function<uint32_t(plan::PlanRef)>& local) {
+  // PortMap carries graph refs; callers must filter port-bearing
+  // fragments out before encoding. Encode the kind anyway — the decoder
+  // rejects it, so a slipped-through port entry degrades to a miss.
+  auto ref = [&](plan::PlanRef r) {
+    return r == plan::kNullPlan ? r : local(r);
+  };
+  w.u8(static_cast<uint8_t>(n.kind));
+  w.i128(n.lo);
+  w.i128(n.hi);
+  w.u32(static_cast<uint32_t>(n.fields.size()));
+  for (const auto& f : n.fields) {
+    encode_move(w, f.src_path, f.dst_path, ref(f.op));
   }
+  encode_shape(w, n.dst_shape);
+  w.u32(static_cast<uint32_t>(n.arms.size()));
+  for (const auto& a : n.arms) encode_move(w, a.src_path, a.dst_path, ref(a.op));
+  w.u32(ref(n.inner));
+  w.str(n.note);
 }
 
 bool decode_plan_nodes(ByteReader& r, std::vector<plan::PlanNode>* out) {

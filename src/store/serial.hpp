@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -153,7 +154,11 @@ class ByteReader {
 /// PortMap nodes must not appear (they embed process-local graph refs);
 /// encountering one is a programming error and encodes as a node the
 /// decoder rejects.
-void encode_plan_nodes(ByteWriter& w, const std::vector<plan::PlanNode>& nodes);
+/// A fragment is a u32 node count followed by its nodes. Writers encode
+/// each node with encode_plan_node, its child refs passed through `local`
+/// (fragment-local indices); decode_plan_nodes reads the whole vector.
+void encode_plan_node(ByteWriter& w, const plan::PlanNode& n,
+                      const std::function<uint32_t(plan::PlanRef)>& local);
 [[nodiscard]] bool decode_plan_nodes(ByteReader& r,
                                      std::vector<plan::PlanNode>* out);
 

@@ -24,6 +24,7 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   work_cv_.notify_all();
+  watch_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -36,16 +37,50 @@ void ThreadPool::submit(std::function<void()> task) {
   // its deque; worker_loop covers that window with a short timed wait
   // (the only timed wait left — it cannot fire in the starved steady
   // state, where queued_ == 0 and workers block indefinitely).
+  const uint64_t avg = task_ns_.load(std::memory_order_relaxed);
+  bool wake = avg == 0 || avg >= kShortTaskNs;
   {
     std::lock_guard lock(mu_);
     ++pending_;
     ++queued_;
+    if (!wake && !watch_asked_ && !watching_) wake = watch_asked_ = true;
   }
   {
     std::lock_guard lock(queues_[q]->mu);
     queues_[q]->tasks.push_back(std::move(task));
   }
-  work_cv_.notify_one();
+  if (wake) work_cv_.notify_one();
+}
+
+void ThreadPool::run(std::function<void()>& task) {
+  const auto t0 = std::chrono::steady_clock::now();
+  task();
+  const auto ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  // A racy read-modify-write is fine: the average only steers wake-ups.
+  const uint64_t avg = task_ns_.load(std::memory_order_relaxed);
+  task_ns_.store(avg == 0 ? std::max<uint64_t>(ns, 1) : avg - avg / 4 + ns / 4,
+                 std::memory_order_relaxed);
+  bool idle;
+  {
+    std::lock_guard lock(mu_);
+    idle = --pending_ == 0;
+  }
+  if (idle) idle_cv_.notify_all();
+}
+
+void ThreadPool::watch(std::unique_lock<std::mutex>& lock) {
+  watch_asked_ = false;
+  watching_ = true;
+  const bool drained =
+      watch_cv_.wait_for(lock, std::chrono::nanoseconds(kWatchNs),
+                         [this] { return stop_ || queued_ == 0; });
+  watching_ = false;
+  // Still queued after a watch: nobody is draining fast enough. Every
+  // worker joins.
+  if (!drained) work_cv_.notify_all();
 }
 
 void ThreadPool::wait_idle() {
@@ -58,13 +93,7 @@ void ThreadPool::wait_idle() {
   for (;;) {
     std::function<void()> task;
     if (!try_pop(0, task)) break;
-    task();
-    bool idle;
-    {
-      std::lock_guard lock(mu_);
-      idle = --pending_ == 0;
-    }
-    if (idle) idle_cv_.notify_all();
+    run(task);
   }
   std::unique_lock lock(mu_);
   idle_cv_.wait(lock, [this] { return pending_ == 0; });
@@ -90,7 +119,7 @@ bool ThreadPool::try_pop(size_t me, std::function<void()>& out) {
   }
   if (got) {
     std::lock_guard lock(mu_);
-    --queued_;
+    if (--queued_ == 0 && watching_) watch_cv_.notify_one();
   }
   return got;
 }
@@ -99,17 +128,18 @@ void ThreadPool::worker_loop(size_t me) {
   for (;;) {
     std::function<void()> task;
     if (try_pop(me, task)) {
-      task();
-      bool idle;
-      {
-        std::lock_guard lock(mu_);
-        idle = --pending_ == 0;
-      }
-      if (idle) idle_cv_.notify_all();
+      run(task);
       continue;
     }
     std::unique_lock lock(mu_);
     if (stop_) return;
+    if (watch_asked_) {
+      // A burst of short tasks: give the running threads kWatchNs to
+      // drain it before this worker joins.
+      watch(lock);
+      if (stop_) return;
+      continue;
+    }
     if (queued_ == 0) {
       // No task in any deque. Tasks merely *running* on other workers
       // are none of our business: block until a submit (possibly
@@ -120,6 +150,7 @@ void ThreadPool::worker_loop(size_t me) {
       // runtime of the in-flight tasks.)
       work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
       wakeups_.fetch_add(1, std::memory_order_relaxed);
+      if (watch_asked_ && !stop_) watch(lock);
       if (stop_) return;
       continue;  // re-scan with the task now (likely) visible
     }

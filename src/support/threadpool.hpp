@@ -34,6 +34,19 @@
 // Tasks may submit() further tasks (they count toward pending_ before
 // the parent finishes, so wait_idle() cannot wake between a parent
 // finishing and its children starting).
+//
+// Waking a parked worker costs a futex wake, a reschedule, and cold
+// caches on the worker's core — tens of microseconds on a shared host.
+// Tasks shorter than that (a warm batch block's chunks run ~20 us) finish
+// sooner on a thread that is already running: a worker looping back for
+// more, or the caller draining in wait_idle(). So submit() wakes a worker
+// per task only while recent tasks (a moving average of measured run
+// times) took at least kShortTaskNs, or nothing has run yet. Short tasks
+// instead raise one watch per burst: one worker wakes, waits kWatchNs for
+// the running threads to drain the queue, and if work is still queued
+// then (a drainer is stuck in a long task, or nobody is draining) it
+// joins and wakes the rest. So no task waits longer than kWatchNs for a
+// thread, and a warm block costs one wake instead of one per chunk.
 #pragma once
 
 #include <atomic>
@@ -78,6 +91,9 @@ class ThreadPool {
     return wakeups_.load(std::memory_order_relaxed);
   }
 
+  static constexpr uint64_t kShortTaskNs = 250'000;
+  static constexpr uint64_t kWatchNs = 1'000'000;
+
  private:
   struct Queue {
     std::mutex mu;
@@ -86,6 +102,10 @@ class ThreadPool {
 
   void worker_loop(size_t me);
   bool try_pop(size_t me, std::function<void()>& out);
+  /// Run a popped task, fold its run time into task_ns_, and retire it.
+  void run(std::function<void()>& task);
+  /// Worker side of a watch: wait for the queue to drain, else join.
+  void watch(std::unique_lock<std::mutex>& lock);
 
   std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
@@ -93,11 +113,15 @@ class ThreadPool {
   std::mutex mu_;                 // guards pending_/queued_/stop_, pairs cvs
   std::condition_variable work_cv_;  // workers sleep here when starved
   std::condition_variable idle_cv_;  // wait_idle() sleeps here
+  std::condition_variable watch_cv_;  // a watching worker sleeps here
   size_t pending_ = 0;            // queued + running tasks
   size_t queued_ = 0;             // tasks sitting in some deque
   bool stop_ = false;
+  bool watch_asked_ = false;      // a short-task burst wants a watcher
+  bool watching_ = false;         // a worker is watching
   std::atomic<size_t> next_queue_{0};  // round-robin submit cursor
   std::atomic<size_t> wakeups_{0};
+  std::atomic<uint64_t> task_ns_{0};   // moving average; 0 = none run yet
 };
 
 }  // namespace mbird

@@ -73,6 +73,49 @@ TEST_F(ServiceTest, CompileSpecResolvesVerdicts) {
   EXPECT_EQ(o.steps, 0u);
 }
 
+TEST_F(ServiceTest, CompileWaterfallAddsUpToThePair) {
+  // A cold pair records one sample in each compile-side layer histogram,
+  // and the layers fit inside the pair's own time.
+  obs::set_metrics_on(true);
+  auto& compare_ns = obs::histogram("service.compile.compare_ns");
+  auto& planir_ns = obs::histogram("service.compile.planir_ns");
+  auto& persist_ns = obs::histogram("service.compile.program_persist_ns");
+  ServiceCore core(modules_, diags_);
+  std::string err;
+  const mtype::Ref ra = core.lower_left("a.h:Point", &err);
+  const mtype::Ref rb = core.lower_right("B.java:Point", &err);
+  ASSERT_NE(ra, mtype::kNullRef);
+  ASSERT_NE(rb, mtype::kNullRef);
+  const auto frozen = core.freeze();
+  const uint64_t c0 = compare_ns.count(), p0 = planir_ns.count(),
+                 s0 = persist_ns.count();
+  const uint64_t sum0 = compare_ns.sum() + planir_ns.sum() + persist_ns.sum();
+  auto& minted = obs::counter("crosscache.plan.nodes_minted");
+  const uint64_t m0 = minted.value();
+  const uint64_t t0 = obs::now_ns();
+  PairOutcome o = core.compile(frozen, ra, rb);
+  const uint64_t total = obs::now_ns() - t0;
+  obs::set_metrics_on(false);
+  ASSERT_EQ(o.verdict, compare::Verdict::Equivalent);
+  ASSERT_FALSE(o.memo_hit);
+  EXPECT_EQ(compare_ns.count() - c0, 1u);
+  EXPECT_EQ(planir_ns.count() - p0, 1u);
+  EXPECT_EQ(persist_ns.count() - s0, 1u);
+  const uint64_t layers =
+      compare_ns.sum() + planir_ns.sum() + persist_ns.sum() - sum0;
+  EXPECT_GT(layers, 0u);
+  EXPECT_LE(layers, total);
+  // The proofs that pair minted are the cache's whole arena.
+  EXPECT_EQ(minted.value() - m0, core.cross().arena()->size());
+  EXPECT_EQ(obs::gauge("crosscache.plan.arena_nodes").value(),
+            static_cast<int64_t>(core.cross().arena()->size()));
+
+  // The memo fast path records none of them.
+  ASSERT_TRUE(core.compile_spec("a.h:Point", "B.java:Point", &o, &err)) << err;
+  EXPECT_TRUE(o.memo_hit);
+  EXPECT_EQ(compare_ns.count() - c0, 1u);
+}
+
 TEST_F(ServiceTest, CompileSpecReportsUnknownDeclaration) {
   ServiceCore core(modules_, diags_);
   PairOutcome o;
